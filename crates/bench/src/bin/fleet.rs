@@ -6,10 +6,11 @@
 //! Instruments and runs PROCESSES copies of the matmul mutatee two
 //! ways, over the *same* binary, snippet, and engine:
 //!
-//! - **sequential** — PROCESSES independent [`DynamicInstrumenter`]
-//!   sessions, one after another, each paying the full pipeline: parse,
-//!   snippet lowering/relocation, verified patch commit, run to exit.
-//!   This is what a tool without a fleet controller has to do.
+//! - **sequential** — PROCESSES independent one-process
+//!   [`FleetController`]s, one after another, each paying the full
+//!   pipeline: parse, snippet lowering/relocation, verified patch
+//!   commit, run to exit. This is what a tool that instruments one
+//!   process at a time has to do.
 //! - **fleet** — one [`FleetController`]: the front half is parsed
 //!   once, the patch is planned once, and the N verified deliveries
 //!   plus N runs are multiplexed through the controller's event loop
@@ -21,10 +22,9 @@
 //! instrumentation counter value — a run that diverged never reports a
 //! speedup. The controller contract is documented in `docs/FLEET.md`.
 //!
-//! [`DynamicInstrumenter`]: rvdyn::DynamicInstrumenter
 //! [`FleetController`]: rvdyn::FleetController
 
-use rvdyn::{DynamicInstrumenter, FleetController, PointKind, SessionOptions, Snippet};
+use rvdyn::{FleetController, PointKind, SessionOptions, Snippet};
 use std::time::Instant;
 
 fn usage() -> ! {
@@ -46,18 +46,26 @@ fn parse_arg(name: &str, arg: Option<&String>, default: usize) -> usize {
     }
 }
 
-/// One full single-process lifecycle: session, entry counter, verified
-/// commit, run to exit. Returns (exit_code, counter).
+/// One full single-process lifecycle: a one-process fleet, entry
+/// counter, verified commit, run to exit. Returns (exit_code, counter).
 fn run_one(binary: rvdyn::Binary, opts: SessionOptions) -> (i64, u64) {
-    let mut di = DynamicInstrumenter::create_with(binary, opts);
-    let counter = di.alloc_var(8);
-    let pts = di
+    let mut fleet = FleetController::from_binary(binary, opts);
+    let pid = fleet.spawn(1)[0];
+    let counter = fleet.alloc_var(8);
+    let pts = fleet
         .find_points("matmul", PointKind::FuncEntry)
         .expect("points");
-    di.insert(&pts, Snippet::increment(counter));
-    di.commit().expect("commit");
-    let code = di.run_to_exit().expect("run");
-    (code, di.read_var(counter).expect("counter readable"))
+    fleet.insert(&pts, Snippet::increment(counter));
+    fleet.commit_all().expect("commit");
+    fleet.run_all();
+    let code = match fleet.result(pid) {
+        Some(Ok(code)) => *code,
+        other => panic!("single-process run failed: {other:?}"),
+    };
+    (
+        code,
+        fleet.read_var(pid, counter).expect("counter readable"),
+    )
 }
 
 fn main() {

@@ -25,7 +25,7 @@
 //! [`Profiler`]: rvdyn::Profiler
 
 use rvdyn::tools::{serialize_trace, MemTracer, TraceOptions, TraceReader};
-use rvdyn::{DynamicInstrumenter, EmuEngine, ProfileOptions, Profiler, SessionOptions};
+use rvdyn::{EmuEngine, FleetController, ProfileOptions, Profiler, SessionOptions};
 use std::time::Instant;
 
 fn usage() -> ! {
@@ -74,21 +74,26 @@ fn main() {
     };
 
     // Memtrace leg: full-program tracer, ring sized for the whole run.
-    let mut dy = DynamicInstrumenter::create_with(binary.clone(), opts());
-    let tracer = MemTracer::plan_dynamic(
-        &mut dy,
+    let mut fleet = FleetController::from_binary(binary.clone(), opts());
+    let pid = fleet.spawn(1)[0];
+    let tracer = MemTracer::plan_fleet(
+        &mut fleet,
         &TraceOptions {
             capacity: 1 << 21,
             funcs: None,
         },
     )
     .expect("plan");
-    dy.commit().expect("commit");
+    fleet.commit_all().expect("commit");
     let t0 = Instant::now();
-    let code = dy.run_to_exit().expect("traced run");
+    fleet.run_all();
     let trace_wall_ns = t0.elapsed().as_nanos() as u64;
-    assert_eq!(code, 0, "traced mutatee must exit cleanly");
-    let drained = tracer.drain_dynamic(&mut dy).expect("drain");
+    assert!(
+        matches!(fleet.result(pid), Some(Ok(0))),
+        "traced mutatee must exit cleanly: {:?}",
+        fleet.result(pid)
+    );
+    let drained = tracer.drain_fleet(&mut fleet, pid).expect("drain");
     assert_eq!(drained.dropped, 0, "ring must hold the whole run");
 
     // Parity gate: the trace must equal the interpreter-side oracle.
@@ -124,15 +129,19 @@ fn main() {
     assert_eq!(reader.len() as u64, records);
 
     // Profiler leg: 10k-cycle sampling over a fresh process.
-    let mut dy = DynamicInstrumenter::create_with(binary, opts());
+    let mut fleet = FleetController::from_binary(binary, opts());
+    let pid = fleet.spawn(1)[0];
     let profiler = Profiler::new(ProfileOptions {
         interval_cycles: 10_000,
         max_samples: 1 << 20,
     });
     let t0 = Instant::now();
-    let run = profiler.sample_dynamic(&mut dy).expect("sampled run");
+    let run = profiler.sample_fleet(&mut fleet).expect("sampled run");
     let profile_wall_ns = t0.elapsed().as_nanos() as u64;
-    assert_eq!(run.exit_code, 0, "sampled mutatee must exit cleanly");
+    assert!(
+        matches!(run.outcomes.get(&pid), Some(Ok(0))),
+        "sampled mutatee must exit cleanly"
+    );
     assert!(run.profile.samples > 0, "interval must fire");
     let samples_per_s = run.profile.samples as f64 / (profile_wall_ns as f64 / 1e9);
     let trace_overhead = trace_wall_ns as f64 / baseline_ns as f64;

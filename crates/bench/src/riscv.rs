@@ -1,7 +1,10 @@
 //! RISC-V measurement harness: build the §4.1 application, instrument it
 //! four ways, execute on the emulator, read modelled seconds.
 
-use rvdyn::{BinaryEditor, CounterPlacement, PointKind, RegAllocMode, SessionOptions, Snippet};
+use rvdyn::{
+    Binary, BinaryEditor, CounterPlacement, PatchLayout, PointKind, RegAllocMode, SessionOptions,
+    Snippet,
+};
 use rvdyn_asm::matmul_program;
 
 /// Which instrumentation configuration to measure.
@@ -43,11 +46,44 @@ pub struct Measurement {
     pub diag: rvdyn::Diagnostics,
 }
 
+/// Instruction budget for running `matmul(n)` `reps` times under any
+/// [`Config`]. The run is dominated by the n³ inner loop: the
+/// uninstrumented base retires about 26 instructions per (n+1)³ and the
+/// costliest configuration (every-block counting with forced spills)
+/// about 48, so 128 leaves more than 2× headroom at every size while
+/// still stopping a runaway mutatee.
+pub fn fuel(n: usize, reps: usize) -> u64 {
+    let side = n as u64 + 1;
+    128 * side * side * side * reps.max(1) as u64 + 10_000_000
+}
+
+/// A patch area clear of every section of `bin`. The matmul arrays live
+/// in `.bss` from 0x30000 and grow as 24·n² bytes, so from n = 117 on
+/// they reach the default patch area at 0x80000; past that size the
+/// patch text and data move above the image, keeping their spacing.
+pub fn patch_layout(bin: &Binary) -> PatchLayout {
+    let default = PatchLayout::default();
+    let end = bin
+        .sections
+        .iter()
+        .map(|s| s.addr + s.data.len() as u64)
+        .max()
+        .unwrap_or(0);
+    if end <= default.patch_text {
+        return default;
+    }
+    let patch_text = (end + 0xFFFF) & !0xFFFF;
+    PatchLayout {
+        patch_text,
+        patch_data: patch_text + (default.patch_data - default.patch_text),
+    }
+}
+
 /// Build, (optionally) instrument, and run `matmul(n)` called `reps`
 /// times; return the measurement.
 pub fn measure(n: usize, reps: usize, config: Config, mode: RegAllocMode) -> Measurement {
     let bin = matmul_program(n, reps);
-    let fuel = 4_000_000_000;
+    let fuel = fuel(n, reps);
 
     if config == Config::Base {
         let r = rvdyn::editor::run_binary(&bin, fuel).expect("base run");
@@ -69,7 +105,10 @@ pub fn measure(n: usize, reps: usize, config: Config, mode: RegAllocMode) -> Mea
     } else {
         CounterPlacement::EveryBlock
     };
-    let mut ed = BinaryEditor::from_binary(bin, SessionOptions::new().counter_placement(placement));
+    let opts = SessionOptions::new()
+        .counter_placement(placement)
+        .layout(patch_layout(&bin));
+    let mut ed = BinaryEditor::from_binary(bin, opts);
     ed.set_mode(mode);
 
     if config == Config::FunctionCount {
@@ -142,6 +181,53 @@ mod tests {
         assert!(bb.counter > 2000); // ~2.3k blocks at n=10
         assert_eq!(f.spills, 0);
         assert_eq!(bb.spills, 0);
+    }
+
+    #[test]
+    fn fuel_covers_every_configuration() {
+        let configs = [
+            (Config::Base, RegAllocMode::DeadRegisters),
+            (Config::FunctionCount, RegAllocMode::DeadRegisters),
+            (Config::BasicBlockCount, RegAllocMode::DeadRegisters),
+            (Config::BasicBlockCountOptimal, RegAllocMode::DeadRegisters),
+            (Config::BasicBlockCount, RegAllocMode::ForceSpill),
+        ];
+        for (n, reps) in [(10usize, 1usize), (40, 2)] {
+            let budget = fuel(n, reps) - 10_000_000;
+            for (config, mode) in configs {
+                let m = measure(n, reps, config, mode);
+                // At least 2× headroom on the n³-scaled part of the
+                // budget, so the bound holds as n grows.
+                assert!(
+                    2 * m.icount <= budget,
+                    "{config:?}/{mode:?} at n={n}: icount {} vs budget {budget}",
+                    m.icount
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn patch_area_moves_above_large_arrays() {
+        // Small sizes keep the default layout, so their numbers are
+        // unchanged.
+        let small = patch_layout(&matmul_program(100, 1));
+        assert_eq!(small.patch_text, PatchLayout::default().patch_text);
+        // At n=120 the arrays end past 0x80000: the patch area must
+        // start above every section, and the instrumented run must
+        // count every call.
+        let bin = matmul_program(120, 1);
+        let layout = patch_layout(&bin);
+        let end = bin
+            .sections
+            .iter()
+            .map(|s| s.addr + s.data.len() as u64)
+            .max()
+            .unwrap();
+        assert!(end > PatchLayout::default().patch_text);
+        assert!(layout.patch_text >= end);
+        let m = measure(120, 1, Config::FunctionCount, RegAllocMode::DeadRegisters);
+        assert_eq!(m.counter, 1);
     }
 
     #[test]

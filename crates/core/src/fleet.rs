@@ -1,9 +1,10 @@
-//! Fleet-scale dynamic instrumentation: one controller, N mutatees.
+//! Live-process instrumentation (Figure 1, right): one controller, N ≥ 1
+//! mutatees.
 //!
-//! Real deployments of the tools the paper targets — profilers,
-//! debuggers, whole-workload tracers — attach to *fleets* of processes,
-//! not one mutatee at a time. [`FleetController`] instruments
-//! dozens-to-hundreds of emulated processes concurrently from one
+//! The paper's dynamic path instruments a *running* process through the
+//! process-control interface, either created by the mutator or attached
+//! to. [`FleetController`] is that path for any number of processes —
+//! a single process is a fleet of one. The controller works from one
 //! [`Session`]-derived context:
 //!
 //! * the **front half** (binary model, CFG, loop depths, liveness) is
@@ -11,16 +12,19 @@
 //!   copies of the same binary parse exactly once;
 //! * the **plan** (snippet lowering, relocation, springboards) is also
 //!   computed once, on the controller's template session, by the same
-//!   [`Session::apply`] the single-process path uses — reusing the
-//!   parallel plan phase and its deterministic layout, so the patch
-//!   bytes delivered to every process are bit-identical to what a
-//!   sequential [`DynamicInstrumenter`](crate::DynamicInstrumenter)
-//!   session would commit;
+//!   [`Session::apply`] the static [`BinaryEditor`](crate::BinaryEditor)
+//!   uses — reusing the parallel plan phase and its deterministic
+//!   layout, so every process receives the bytes the static path writes
+//!   into its rewritten image;
 //! * the **per-process back half** — verified patch commits, run-loop
 //!   event handling, redirect resolution — fans out over the
 //!   [`ProcessSet`] worker pool, with the controller parked in a
 //!   poll/park event loop consuming stop/trap/exit completions in
 //!   arrival order.
+//!
+//! Processes join the fleet through the paper's two dynamic variants:
+//! [`FleetController::spawn`] (create, stopped at entry) and
+//! [`FleetController::attach`] (an already-running process).
 //!
 //! Failures are isolated per process: a [`FaultPlan`] targeted at one
 //! pid mid-fleet produces a typed error attributed to that pid (e.g.
@@ -32,12 +36,11 @@
 //! `docs/FLEET.md`.
 
 use crate::diag::Diagnostics;
-use crate::dynamic::coalesce_writes;
 use crate::error::Error;
-use crate::session::{self, Session, SessionOptions};
+use crate::session::{self, BlockCounter, Session, SessionOptions};
 use crate::telemetry::{TelemetryEvent, TimedStage};
 use rvdyn_codegen::snippet::{Snippet, Var};
-use rvdyn_patch::{Point, PointKind};
+use rvdyn_patch::{Point, PointKind, RelocationIndex};
 use rvdyn_proccontrol::{Event, FaultPlan, ProcError, Process, ProcessSet};
 use rvdyn_symtab::Binary;
 use std::collections::BTreeMap;
@@ -57,6 +60,11 @@ struct CommitPlan {
     /// Code span covered by the regions (for the machine's executable-
     /// region hint); `None` when there are no regions.
     code_span: Option<(u64, u64)>,
+    /// Inverse writes restoring every springboard planted so far (this
+    /// commit's and all earlier ones'): uninstrumentation.
+    undo: Vec<(u64, Vec<u8>)>,
+    /// Accumulated patch-area → original pc translation.
+    reloc_index: RelocationIndex,
 }
 
 /// What one dispatched per-process job reported back.
@@ -174,7 +182,7 @@ impl std::fmt::Display for FleetSummary {
     }
 }
 
-/// Instrument and run N mutatees from one controller: a template
+/// Instrument and run N ≥ 1 mutatees from one controller: a template
 /// [`Session`] (where points, snippets and variables are declared once)
 /// plus a [`ProcessSet`] event loop that fans the per-process delivery
 /// and run work over the session's worker pool.
@@ -243,40 +251,51 @@ impl FleetController {
         Self::from_session(Session::from_analysis(analysis, opts))
     }
 
-    /// Launch `n` new mutatees from the fleet's binary (each stopped at
-    /// entry, each backed by its own machine running the session's
-    /// configured engine) and return their controller-assigned pids.
+    /// Figure 1, variant 1: launch `n` new mutatees from the fleet's
+    /// binary (each stopped at entry) and return their
+    /// controller-assigned pids.
     pub fn spawn(&mut self, n: usize) -> Vec<u32> {
         let analysis = self.session.analysis().clone();
-        let engine = self.session.engine();
-        let mut pids = Vec::with_capacity(n);
-        for _ in 0..n {
-            let pid = self.next_pid;
-            self.next_pid += 1;
-            let mut process = Process::launch(analysis.binary());
-            process.machine_mut().engine = engine;
-            // Fleet processes carry no live observer: they migrate
-            // across worker threads, so the controller thread emits all
-            // telemetry itself, per consumed completion.
-            self.set.insert(pid, process);
-            let mut diag = Diagnostics::default();
-            diag.record_parse(analysis.code());
-            self.states.insert(
-                pid,
-                ProcState {
-                    diag,
-                    result: None,
-                    committed: false,
-                },
-            );
-            self.session
-                .emit(TelemetryEvent::FleetProcessSpawned { pid });
-            pids.push(pid);
-        }
-        pids
+        (0..n)
+            .map(|_| self.attach(Process::launch(analysis.binary())))
+            .collect()
     }
 
-    /// Pids of every process ever spawned into the fleet, ascending.
+    /// Figure 1, variant 2: take an already-running process (e.g. one
+    /// stopped at a breakpoint mid-run) into the fleet and return its
+    /// pid. The process must be running the fleet's binary; the next
+    /// [`FleetController::commit_all`] delivers the patch into it like
+    /// any spawned process.
+    ///
+    /// Every process joining the fleet runs the session's configured
+    /// engine and, when a telemetry sink is configured, carries an
+    /// observer streaming its debug-interface operations
+    /// (`MemWritten`, `BreakpointSet`, …) from whichever worker drives
+    /// it.
+    pub fn attach(&mut self, mut process: Process) -> u32 {
+        process.machine_mut().engine = self.session.engine();
+        if let Some(sink) = self.session.sink() {
+            process.set_observer(Box::new(move |ev| sink.event(&session::adapt_proc(ev))));
+        }
+        let pid = self.next_pid;
+        self.next_pid += 1;
+        self.set.insert(pid, process);
+        let mut diag = Diagnostics::default();
+        diag.record_parse(self.session.code());
+        self.states.insert(
+            pid,
+            ProcState {
+                diag,
+                result: None,
+                committed: false,
+            },
+        );
+        self.session
+            .emit(TelemetryEvent::FleetProcessSpawned { pid });
+        pid
+    }
+
+    /// Pids of every process ever spawned or attached, ascending.
     pub fn pids(&self) -> Vec<u32> {
         self.states.keys().copied().collect()
     }
@@ -348,6 +367,27 @@ impl FleetController {
         self.session.insert(points, snippet);
     }
 
+    /// Queue basic-block counting for the named function under the
+    /// session's configured
+    /// [`CounterPlacement`](rvdyn_patch::CounterPlacement); resolve the
+    /// returned handle per process with [`Self::block_counts`].
+    pub fn count_blocks(&mut self, func: &str) -> Result<BlockCounter, Error> {
+        self.session.count_blocks(func)
+    }
+
+    /// Exact per-block execution counts for a [`BlockCounter`], read from
+    /// the memory of the process under `pid` (reconstructed through the
+    /// CFG flow equations under optimal placement).
+    pub fn block_counts(
+        &mut self,
+        pid: u32,
+        counter: &BlockCounter,
+    ) -> Result<BTreeMap<u64, u64>, Error> {
+        let p = self.set.get(pid).ok_or(Error::FleetProcessLost { pid })?;
+        self.session
+            .block_counts_with(counter, &mut |v| read_u64(p, v.addr))
+    }
+
     /// Arm a deterministic [`FaultPlan`] on the debug interface of the
     /// single process under `pid`, without disturbing the rest of the
     /// fleet. Fails with [`Error::FleetProcessLost`] when the pid is
@@ -378,9 +418,35 @@ impl FleetController {
 
     /// The coalesced patch regions the last [`FleetController::commit_all`]
     /// delivered into every process (empty before the first commit).
-    /// Tests use this to check bit-identity against sequential sessions.
+    /// Tests use this to check bit-identity against the static path.
     pub fn commit_regions(&self) -> &[(u64, Vec<u8>)] {
         self.commit.as_ref().map_or(&[], |p| &p.regions)
+    }
+
+    /// The accumulated relocated→original address translation of every
+    /// commit so far (`None` before the first), for use with
+    /// `StackWalker::with_translation` when debugging an instrumented
+    /// process.
+    pub fn reloc_index(&self) -> Option<&RelocationIndex> {
+        self.commit.as_ref().map(|p| &p.reloc_index)
+    }
+
+    /// Remove all committed instrumentation from the process under
+    /// `pid`: its springboards are overwritten with the original
+    /// instructions, so execution stops entering the patch area (which
+    /// stays mapped but unreachable). Counters keep their values and
+    /// stay readable; the rest of the fleet is untouched.
+    pub fn remove_instrumentation(&mut self, pid: u32) -> Result<(), Error> {
+        let undo = self.commit.as_ref().map_or(&[][..], |p| &p.undo);
+        let p = self
+            .set
+            .get_mut(pid)
+            .ok_or(Error::FleetProcessLost { pid })?;
+        for (addr, original) in undo {
+            p.write_mem(*addr, original);
+        }
+        p.machine_mut().trap_redirects.clear();
+        Ok(())
     }
 
     /// Lower and relocate the queued snippets **once** on the template
@@ -397,9 +463,23 @@ impl FleetController {
     /// [`Error::FleetProcessLost`] for a process that exited before
     /// delivery — and leave the rest of the fleet fully committed.
     pub fn commit_all(&mut self) -> Result<(), Error> {
-        let result = self.session.apply()?;
+        let mut result = self.session.apply()?;
         self.session.clear_pending();
 
+        // Uninstrumentation and pc translation cover every commit so far.
+        let (undo, reloc_index) = match self.commit.take() {
+            Some(prev) => {
+                let mut undo = prev.undo.clone();
+                undo.extend_from_slice(result.undo_writes());
+                let mut index = prev.reloc_index.clone();
+                index.merge(&result.reloc_index);
+                (undo, index)
+            }
+            None => (
+                result.undo_writes().to_vec(),
+                std::mem::take(&mut result.reloc_index),
+            ),
+        };
         let regions = coalesce_writes(result.memory_writes());
         let code_span = regions
             .iter()
@@ -416,6 +496,8 @@ impl FleetController {
             regions,
             trap_table: result.trap_table.clone(),
             code_span,
+            undo,
+            reloc_index,
         });
         self.commit = Some(plan.clone());
 
@@ -453,22 +535,23 @@ impl FleetController {
                         .emit(TelemetryEvent::FleetProcessFailed { pid: c.pid });
                 }
                 JobOutcome::Committed {
-                    verified,
-                    failed: Some(addr),
-                    ..
+                    verified, failed, ..
                 } => {
                     st.diag.patch_regions_written += verified;
-                    st.result = Some(Err(Error::PatchVerifyFailed { addr }));
-                    self.session
-                        .emit(TelemetryEvent::FleetProcessFailed { pid: c.pid });
-                }
-                JobOutcome::Committed {
-                    verified,
-                    failed: None,
-                    ..
-                } => {
-                    st.diag.patch_regions_written += verified;
-                    st.committed = true;
+                    for (addr, bytes) in &plan.regions[..verified] {
+                        self.session.emit(TelemetryEvent::PatchRegionWritten {
+                            addr: *addr,
+                            len: bytes.len(),
+                        });
+                    }
+                    match failed {
+                        Some(addr) => {
+                            st.result = Some(Err(Error::PatchVerifyFailed { addr }));
+                            self.session
+                                .emit(TelemetryEvent::FleetProcessFailed { pid: c.pid });
+                        }
+                        None => st.committed = true,
+                    }
                 }
                 // A run outcome cannot arrive here (commit_all drains
                 // its own dispatches), but stay total.
@@ -519,9 +602,10 @@ impl FleetController {
                     None
                 }
                 JobOutcome::Stopped(Ok(Event::Trap(pc))) => {
-                    // Same contract as the single-process run loop: a
-                    // surfaced trap with redirects installed is a
-                    // missing springboard redirect, otherwise it is the
+                    // The emulator resolves springboard traps through
+                    // the redirect table in-loop, so a trap that
+                    // surfaces with redirects installed is a missing
+                    // springboard redirect; otherwise it is the
                     // mutatee's own ebreak.
                     let (has_redirects, icount) = self
                         .set
@@ -541,8 +625,8 @@ impl FleetController {
                 JobOutcome::Stopped(Ok(Event::Fault { pc, addr })) => {
                     Some(Err(Error::MutateeFault { pc, addr }))
                 }
-                // `From<ProcError>` promotes CacheIncoherent, exactly
-                // like the single-process path.
+                // `From<ProcError>` promotes CacheIncoherent to its own
+                // typed error.
                 JobOutcome::Stopped(Err(e)) => Some(Err(e.into())),
                 // Commit outcomes cannot arrive here; stay total.
                 JobOutcome::Committed { .. } => None,
@@ -582,6 +666,14 @@ impl FleetController {
                 st.diag.faults_injected = faults;
             }
         }
+        let reason = match &result {
+            Ok(_) => "exited",
+            Err(Error::RedirectMiss { .. }) => "break",
+            Err(Error::MutateeFault { .. }) => "mem-fault",
+            Err(Error::CacheIncoherent { .. }) => "cache-incoherent",
+            Err(_) => "stopped",
+        };
+        self.session.emit(TelemetryEvent::RunExit { reason });
         match &result {
             Ok(code) => self
                 .session
@@ -597,9 +689,7 @@ impl FleetController {
 
     /// Read an instrumentation variable from the process under `pid`.
     pub fn read_var(&self, pid: u32, var: Var) -> Option<u64> {
-        let p = self.set.get(pid)?;
-        let b = p.read_mem(var.addr, 8).ok()?;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
+        read_u64(self.set.get(pid)?, var.addr)
     }
 
     /// The fleet-level rollup: totals plus one pid-sorted
@@ -631,6 +721,37 @@ impl FleetController {
             per_process,
         }
     }
+}
+
+/// Read a little-endian u64 from a process's memory.
+pub(crate) fn read_u64(p: &Process, addr: u64) -> Option<u64> {
+    let b = p.read_mem(addr, 8).ok()?;
+    Some(u64::from_le_bytes(b.try_into().ok()?))
+}
+
+/// Coalesce individual patch writes into contiguous regions: sort by
+/// address, then merge any write that starts at or before the end of the
+/// previous region. Overlapping bytes are resolved in original write
+/// order (later writes win), matching the semantics of issuing the
+/// writes one by one.
+fn coalesce_writes(writes: &[(u64, Vec<u8>)]) -> Vec<(u64, Vec<u8>)> {
+    let mut sorted: Vec<&(u64, Vec<u8>)> = writes.iter().collect();
+    sorted.sort_by_key(|(addr, _)| *addr); // stable: preserves write order at equal addresses
+    let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
+    for (addr, bytes) in sorted {
+        match out.last_mut() {
+            Some((base, buf)) if *addr <= *base + buf.len() as u64 => {
+                let off = (*addr - *base) as usize;
+                let end = off + bytes.len();
+                if end > buf.len() {
+                    buf.resize(end, 0);
+                }
+                buf[off..end].copy_from_slice(bytes);
+            }
+            _ => out.push((*addr, bytes.clone())),
+        }
+    }
+    out
 }
 
 /// The per-process commit job: deliver the frozen plan into one live
@@ -741,5 +862,225 @@ mod tests {
             other => panic!("expected FleetProcessLost, got {other:?}"),
         }
         assert!(fleet.read_var(99, Var { addr: 0, size: 8 }).is_none());
+    }
+
+    /// A one-process fleet over `bin`, and the process's pid.
+    fn one(bin: Binary) -> (FleetController, u32) {
+        let mut fleet = FleetController::from_binary(bin, SessionOptions::new());
+        let pid = fleet.spawn(1)[0];
+        (fleet, pid)
+    }
+
+    #[test]
+    fn attach_mid_run_and_instrument() {
+        // Start the process, run it up to a breakpoint at main, *then*
+        // attach instrumentation — the "already running process" variant.
+        let bin = rvdyn_asm::matmul_program(5, 3);
+        let main = bin.symbol_by_name("main").unwrap().value;
+        let mut p = Process::launch(&bin);
+        p.set_breakpoint(main).unwrap();
+        assert!(matches!(p.cont().unwrap(), Event::Breakpoint(_)));
+        p.remove_breakpoint(main).unwrap();
+
+        let mut fleet = FleetController::from_binary(bin, SessionOptions::new());
+        let pid = fleet.attach(p);
+        let counter = fleet.alloc_var(8);
+        let pts = fleet.find_points("matmul", PointKind::BlockEntry).unwrap();
+        assert_eq!(pts.len(), 11);
+        fleet.insert(&pts, Snippet::increment(counter));
+        fleet.commit_all().unwrap();
+        fleet.run_all();
+        assert!(matches!(fleet.result(pid), Some(Ok(0))));
+        // Same closed form as the static test.
+        let n = 5u64;
+        let per_call = 1
+            + (n + 1)
+            + n
+            + n * (n + 1)
+            + n * n
+            + n * n * (n + 1)
+            + n * n * n
+            + n * n
+            + n * n
+            + n
+            + 1;
+        assert_eq!(fleet.read_var(pid, counter), Some(per_call * 3));
+    }
+
+    #[test]
+    fn from_analysis_shares_the_front_half() {
+        let bin = rvdyn_asm::matmul_program(5, 3);
+        let analysis = crate::Analysis::of_binary(bin, &rvdyn_parse::ParseOptions::default());
+
+        // Two independent controllers, one shared analysis.
+        for _ in 0..2 {
+            let mut fleet = FleetController::from_analysis(analysis.clone(), SessionOptions::new());
+            assert_eq!(fleet.diagnostics().timings.parse_ns, 0, "warm: no parse");
+            let pid = fleet.spawn(1)[0];
+            let counter = fleet.alloc_var(8);
+            let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+            fleet.insert(&pts, Snippet::increment(counter));
+            fleet.commit_all().unwrap();
+            fleet.run_all();
+            assert!(matches!(fleet.result(pid), Some(Ok(0))));
+            assert_eq!(fleet.read_var(pid, counter), Some(3));
+        }
+    }
+
+    #[test]
+    fn live_and_static_counters_agree() {
+        let (n, reps) = (4usize, 2usize);
+        let elf = rvdyn_asm::matmul_program(n, reps).to_bytes().unwrap();
+        let mut ed = crate::BinaryEditor::open(&elf).unwrap();
+        let c1 = ed.alloc_var(8);
+        let pts = ed.find_points("matmul", PointKind::BlockEntry).unwrap();
+        ed.insert(&pts, Snippet::increment(c1));
+        let out = ed.rewrite().unwrap();
+        let r = crate::run_elf(&out, 100_000_000).unwrap();
+        let static_count = r.read_u64(c1.addr).unwrap();
+
+        let (mut fleet, pid) = one(rvdyn_asm::matmul_program(n, reps));
+        let c2 = fleet.alloc_var(8);
+        let pts = fleet.find_points("matmul", PointKind::BlockEntry).unwrap();
+        fleet.insert(&pts, Snippet::increment(c2));
+        fleet.commit_all().unwrap();
+        fleet.run_all();
+        assert_eq!(fleet.read_var(pid, c2), Some(static_count));
+    }
+
+    #[test]
+    fn commit_batches_and_verifies_regions() {
+        let (mut fleet, pid) = one(rvdyn_asm::matmul_program(4, 2));
+        let counter = fleet.alloc_var(8);
+        let pts = fleet.find_points("matmul", PointKind::BlockEntry).unwrap();
+        fleet.insert(&pts, Snippet::increment(counter));
+        fleet.commit_all().unwrap();
+        let snap = fleet.process_diagnostics(pid).unwrap().clone();
+        assert!(snap.patch_regions_written > 0, "regions counted");
+        // The whole point of batching: no more writes than points.
+        assert!(
+            snap.patch_regions_written <= snap.points_instrumented,
+            "coalescing must not need more writes than points ({} > {})",
+            snap.patch_regions_written,
+            snap.points_instrumented
+        );
+        assert!(snap.timings.commit_ns > 0, "commit stage was timed");
+        fleet.run_all();
+        assert!(matches!(fleet.result(pid), Some(Ok(0))));
+        // The clone froze; the live diagnostics moved on.
+        assert_eq!(snap.instret, 0);
+        assert!(fleet.process_diagnostics(pid).unwrap().instret > 0);
+    }
+
+    #[test]
+    fn coalesce_merges_adjacent_and_overlapping() {
+        let writes = vec![
+            (0x100u64, vec![1u8, 2, 3, 4]),
+            (0x104, vec![5, 6]),    // adjacent: merges
+            (0x102, vec![9, 9]),    // overlap: later write wins
+            (0x200, vec![7]),       // distinct region
+            (0x1f0, vec![8; 0x10]), // adjacent to 0x200 after sort
+        ];
+        let regions = coalesce_writes(&writes);
+        assert_eq!(regions.len(), 2);
+        assert_eq!(regions[0].0, 0x100);
+        assert_eq!(regions[0].1, vec![1, 2, 9, 9, 5, 6]);
+        assert_eq!(regions[1].0, 0x1f0);
+        assert_eq!(regions[1].1.len(), 0x11);
+        assert_eq!(regions[1].1[0x10], 7);
+    }
+
+    #[test]
+    fn coalesce_of_disjoint_writes_is_identity() {
+        let writes = vec![(0x200u64, vec![1u8]), (0x100, vec![2, 3])];
+        let regions = coalesce_writes(&writes);
+        assert_eq!(regions, vec![(0x100, vec![2, 3]), (0x200, vec![1])]);
+    }
+
+    #[test]
+    fn surfaced_trap_with_redirects_is_a_redirect_miss() {
+        // Instrument normally, then sabotage: point the mutatee at an
+        // ebreak that has no entry in the redirect table.
+        let bin = rvdyn_asm::matmul_program(4, 1);
+        let main = bin.symbol_by_name("main").unwrap().value;
+        let sink = crate::CollectSink::new();
+        let mut fleet =
+            FleetController::from_binary(bin, SessionOptions::new().telemetry(sink.clone()));
+        let pid = fleet.spawn(1)[0];
+        let counter = fleet.alloc_var(8);
+        let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+        fleet.insert(&pts, Snippet::increment(counter));
+        fleet.commit_all().unwrap();
+        fleet
+            .with_process(pid, |p| {
+                // Overwrite main's first instruction with a bare ebreak
+                // (no redirect registered for it). 4-byte ebreak =
+                // 0x00100073.
+                p.write_mem(main, &0x0010_0073u32.to_le_bytes());
+                // Make sure the table is non-empty so this is a *miss*,
+                // not an uninstrumented mutatee's own trap (this mutatee
+                // is small enough that every springboard fits a direct
+                // jump, so plant one entry for an unrelated address).
+                p.machine_mut()
+                    .trap_redirects
+                    .insert(0xdead_0000, 0xdead_0004);
+            })
+            .unwrap();
+        fleet.run_all();
+        match fleet.result(pid) {
+            Some(Err(Error::RedirectMiss { pc })) => assert_eq!(*pc, main),
+            other => panic!("expected RedirectMiss, got {other:?}"),
+        }
+        // The terminal event is labelled like the static run loop's.
+        assert_eq!(
+            sink.count(|e| matches!(e, TelemetryEvent::RunExit { reason: "break" })),
+            1
+        );
+    }
+
+    #[test]
+    fn instrumentation_can_be_removed_before_the_run() {
+        // Instrument matmul's entry, then REMOVE the instrumentation
+        // before running: the counter must stay 0 while the program
+        // still computes correctly.
+        let reps = 6usize;
+        let bin = rvdyn_asm::matmul_program(5, reps);
+        let (mut fleet, pid) = one(bin.clone());
+        let counter = fleet.alloc_var(8);
+        let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+        fleet.insert(&pts, Snippet::increment(counter));
+        fleet.commit_all().unwrap();
+        assert!(fleet.reloc_index().is_some());
+        fleet.remove_instrumentation(pid).unwrap();
+        fleet.run_all();
+        assert!(matches!(fleet.result(pid), Some(Ok(0))));
+        assert_eq!(fleet.read_var(pid, counter), Some(0), "counter must freeze");
+
+        // A second process stopped in uninstrumented code (a breakpoint
+        // inside init_arrays, whose original code is intact) keeps its
+        // springboards armed and counts every call.
+        let (mut fleet, pid) = one(bin);
+        let counter = fleet.alloc_var(8);
+        let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+        fleet.insert(&pts, Snippet::increment(counter));
+        fleet.commit_all().unwrap();
+        let init = fleet
+            .find_points("init_arrays", PointKind::FuncEntry)
+            .unwrap()[0]
+            .addr;
+        fleet
+            .with_process(pid, |p| {
+                p.set_breakpoint(init).unwrap();
+                assert_eq!(p.cont().unwrap(), Event::Breakpoint(init));
+                p.remove_breakpoint(init).unwrap();
+            })
+            .unwrap();
+        fleet.run_all();
+        assert!(matches!(fleet.result(pid), Some(Ok(0))));
+        assert_eq!(fleet.read_var(pid, counter), Some(reps as u64));
+        assert!(matches!(
+            fleet.remove_instrumentation(99),
+            Err(Error::FleetProcessLost { pid: 99 })
+        ));
     }
 }

@@ -46,15 +46,32 @@
 //!
 //! ## Dynamic instrumentation (Figure 1, right)
 //!
-//! See [`DynamicInstrumenter`]: create or attach to a process, insert the
-//! same snippets at the same abstract points, and continue execution —
-//! the patch is applied through the process-control interface instead of
-//! being written to a file.
+//! See [`FleetController`]: create or attach to N ≥ 1 processes, insert
+//! the same snippets at the same abstract points, and continue
+//! execution — the patch is applied through the process-control
+//! interface instead of being written to a file. A single live process
+//! is a fleet of one:
+//!
+//! ```
+//! use rvdyn::{FleetController, PointKind, SessionOptions, Snippet};
+//!
+//! let bin = rvdyn_asm::matmul_program(8, 2);
+//! let mut fleet = FleetController::from_binary(bin, SessionOptions::new());
+//! let pid = fleet.spawn(1)[0];
+//! let counter = fleet.alloc_var(8);
+//! let points = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+//! fleet.insert(&points, Snippet::increment(counter));
+//! fleet.commit_all().unwrap();
+//! fleet.run_all();
+//! assert!(matches!(fleet.result(pid), Some(Ok(0))));
+//! assert_eq!(fleet.read_var(pid, counter), Some(2));
+//! ```
 //!
 //! ## Sessions and telemetry
 //!
-//! Both entry points are thin delivery shells over the shared [`Session`]
-//! core, configured through [`SessionOptions`]. A session keeps live
+//! The two delivery targets — a file image ([`BinaryEditor`]) and a
+//! process set ([`FleetController`]) — are thin shells over the shared
+//! [`Session`] core, configured through [`SessionOptions`]. A session keeps live
 //! [`Diagnostics`] — counters *and* per-stage wall-clock timings — and
 //! can stream [`telemetry::TelemetryEvent`]s to any
 //! [`telemetry::TelemetrySink`] (e.g. [`telemetry::StderrSink`] for a
@@ -76,7 +93,6 @@
 
 pub mod analysis;
 pub mod diag;
-pub mod dynamic;
 pub mod editor;
 pub mod error;
 pub mod fleet;
@@ -88,7 +104,6 @@ pub use analysis::{
     Analysis, AnalysisCache, AnalysisKey, AnalysisTimings, CacheOutcome, CacheStats,
 };
 pub use diag::Diagnostics;
-pub use dynamic::DynamicInstrumenter;
 pub use editor::{
     run_binary, run_binary_observed, run_elf, run_elf_with, BinaryEditor, EditorError, RunOutput,
 };

@@ -1,12 +1,13 @@
 //! The shared instrumentation-session core.
 //!
-//! [`BinaryEditor`](crate::BinaryEditor) (static rewriting) and
-//! [`DynamicInstrumenter`](crate::DynamicInstrumenter) (live-process
-//! patching) differ only in *delivery* — everything upstream of it
+//! [`BinaryEditor`](crate::BinaryEditor) (static rewriting into a file
+//! image) and [`FleetController`](crate::FleetController) (live patching
+//! of a set of N ≥ 1 processes) differ only in *delivery* — everything
+//! upstream of it
 //! (open, parse, point lookup, variable allocation, the pending-snippet
 //! queue, snippet lowering, relocation, springboard planning,
 //! diagnostics, telemetry) is one pipeline. [`Session`] owns that shared
-//! surface so the two entry points are thin delivery shells, telemetry is
+//! surface so the two delivery targets are thin shells, telemetry is
 //! wired exactly once, and a future entry point (e.g. attach-with-gaps)
 //! inherits the whole surface for free.
 //!
@@ -14,9 +15,10 @@
 //! patch layout, register-allocation mode, parse options, the
 //! conservative-relocation policy, the telemetry sink, the worker-thread
 //! count for the parallel pipeline stages ([`SessionOptions::threads`] —
-//! output bytes are bit-identical for every value), and — for the
-//! dynamic path — the debug-interface fault plan
-//! ([`SessionOptions::fault_plan`]).
+//! output bytes are bit-identical for every value), the execution engine
+//! and the counter placement. Debug-interface fault plans are armed per
+//! process on the live path
+//! ([`FleetController::set_fault_plan`](crate::FleetController::set_fault_plan)).
 //!
 //! ## Observer-enum layering
 //!
@@ -45,7 +47,7 @@ use rvdyn_patch::placement::{
     plan_block_counters, plan_block_counters_with_depths, BlockCountPlan, CounterPlacement,
 };
 use rvdyn_patch::{find_points, Instrumenter, PatchEvent, PatchLayout, Point, PointKind};
-use rvdyn_proccontrol::{FaultPlan, ProcEvent};
+use rvdyn_proccontrol::ProcEvent;
 use rvdyn_symtab::Binary;
 use std::sync::Arc;
 
@@ -66,7 +68,6 @@ pub struct SessionOptions {
     pub(crate) parse: ParseOptions,
     pub(crate) allow_unresolved: bool,
     pub(crate) sink: Option<SharedSink>,
-    pub(crate) fault_plan: Option<FaultPlan>,
     pub(crate) placement: CounterPlacement,
     pub(crate) threads: usize,
     pub(crate) engine: EmuEngine,
@@ -80,7 +81,6 @@ impl Default for SessionOptions {
             parse: ParseOptions::default(),
             allow_unresolved: true,
             sink: None,
-            fault_plan: None,
             placement: CounterPlacement::EveryBlock,
             threads: 1,
             // `RVDYN_EMU` selects the execution engine fleet-wide the
@@ -146,19 +146,6 @@ impl SessionOptions {
         self
     }
 
-    /// Arm a deterministic [`FaultPlan`] on the dynamic path's debug
-    /// interface (corrupt/short/dropped writes, delayed stop events,
-    /// dropped trap-redirect resolutions). The faults fire inside the
-    /// *real* delivery and run machinery, so commit read-back
-    /// verification, `RedirectMiss` surfacing, and stop-event recovery
-    /// are exercised end to end; injected faults are counted in
-    /// [`Diagnostics::faults_injected`](crate::Diagnostics). Ignored by
-    /// the static path, which has no debug interface.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     /// Fan both parallelisable pipeline stages — CFG parsing and the
     /// instrumenter's plan phase — out over `threads` workers (default
     /// 1: everything inline). The patch-area layout stays sequential and
@@ -214,14 +201,13 @@ pub struct Session {
     var_bytes: u64,
     diag: Diagnostics,
     tele: Telemetry,
-    fault_plan: Option<FaultPlan>,
     placement: CounterPlacement,
     threads: usize,
     engine: EmuEngine,
 }
 
 /// Handle to one per-function basic-block counting request, returned by
-/// [`Session::count_blocks`] (via the `BinaryEditor` / `DynamicInstrumenter`
+/// [`Session::count_blocks`] (via the `BinaryEditor` / `FleetController`
 /// wrappers). Holds the allocated counter variables and, under
 /// [`CounterPlacement::Optimal`], the reconstruction plan; feed it back to
 /// `block_counts` after the run to obtain exact per-block execution
@@ -374,7 +360,6 @@ impl Session {
             var_bytes: 0,
             diag,
             tele,
-            fault_plan: opts.fault_plan,
             placement: opts.placement,
             threads: opts.threads,
             engine: opts.engine,
@@ -669,11 +654,6 @@ impl Session {
         self.tele.sink.clone()
     }
 
-    /// The armed fault plan, if any, for the dynamic delivery shell.
-    pub(crate) fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault_plan
-    }
-
     /// The configured execution engine, for the delivery shells to stamp
     /// onto the machines they build.
     pub(crate) fn engine(&self) -> EmuEngine {
@@ -687,8 +667,9 @@ impl Session {
     }
 
     /// Fold the machine's drained engine events and counters into the
-    /// telemetry stream and diagnostics (both delivery shells call this
-    /// once per completed run).
+    /// telemetry stream and diagnostics (the static shell calls this once
+    /// per completed run; the fleet folds each process into its own
+    /// per-process diagnostics instead).
     pub(crate) fn record_emu(&mut self, machine: &mut rvdyn_emu::Machine) {
         for ev in machine.take_emu_events() {
             self.tele.emit(adapt_emu(ev));
@@ -771,7 +752,8 @@ pub(crate) fn adapt_emu(ev: EmuEvent) -> TelemetryEvent {
 }
 
 /// Translate a debug-interface event into the telemetry vocabulary
-/// (used by the dynamic delivery shell's process observer).
+/// (used by the observer every fleet process carries when a sink is
+/// configured).
 pub(crate) fn adapt_proc(ev: ProcEvent) -> TelemetryEvent {
     match ev {
         ProcEvent::BreakpointSet { addr } => TelemetryEvent::BreakpointSet { addr },

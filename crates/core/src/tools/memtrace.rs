@@ -19,15 +19,16 @@
 //! no syscall traffic. `tests/tools_memtrace.rs` holds the two sides
 //! record-identical over randomized programs on both execution engines.
 //!
-//! After the run, `drain_*` recovers the ring through the matching
-//! host's memory view and hands back decoded [`TraceRecord`]s ready for
-//! [`TraceSink`](super::TraceSink) serialization.
+//! After the run, [`MemTracer::drain_output`] (file image) or
+//! [`MemTracer::drain_fleet`] (one live process) recovers the ring
+//! through that host's memory view and hands back decoded
+//! [`TraceRecord`]s ready for [`TraceSink`](super::TraceSink)
+//! serialization.
 
 use super::trace::TraceRecord;
-use crate::dynamic::DynamicInstrumenter;
 use crate::editor::{BinaryEditor, RunOutput};
 use crate::error::Error;
-use crate::fleet::FleetController;
+use crate::fleet::{self, FleetController};
 use crate::session::Session;
 use crate::telemetry::TelemetryEvent;
 use rvdyn_codegen::snippet::{BinaryOp, Snippet, Var};
@@ -218,14 +219,6 @@ impl MemTracer {
         Self::plan(ed.session_mut(), opts)
     }
 
-    /// Plan tracing on a live [`DynamicInstrumenter`] process.
-    pub fn plan_dynamic(
-        dy: &mut DynamicInstrumenter,
-        opts: &TraceOptions,
-    ) -> Result<MemTracer, Error> {
-        Self::plan(dy.session_mut(), opts)
-    }
-
     /// Plan tracing fleet-wide: one plan, every process gets its own
     /// ring copy at the same addresses.
     pub fn plan_fleet(fc: &mut FleetController, opts: &TraceOptions) -> Result<MemTracer, Error> {
@@ -289,28 +282,12 @@ impl MemTracer {
         Ok(d)
     }
 
-    /// Drain the live (or exited-but-attached) dynamic process.
-    pub fn drain_dynamic(&self, dy: &mut DynamicInstrumenter) -> Result<Drained, Error> {
-        let (session, process) = dy.parts_mut();
-        let d = self.drain_with(&mut |a| {
-            let b = process.read_mem(a, 8).ok()?;
-            Some(u64::from_le_bytes(b.try_into().ok()?))
-        })?;
-        Self::fold(session, &d);
-        Ok(d)
-    }
-
     /// Drain one fleet member's ring; the per-process diagnostics (and
     /// the controller totals) absorb the counts. Fault isolation holds:
     /// a failed or lost process yields its typed error here without
     /// touching any other pid's ring.
     pub fn drain_fleet(&self, fc: &mut FleetController, pid: u32) -> Result<Drained, Error> {
-        let d = fc.with_process(pid, |p| {
-            self.drain_with(&mut |a| {
-                let b = p.read_mem(a, 8).ok()?;
-                Some(u64::from_le_bytes(b.try_into().ok()?))
-            })
-        })??;
+        let d = fc.with_process(pid, |p| self.drain_with(&mut |a| fleet::read_u64(p, a)))??;
         if let Some(diag) = fc.process_diag_mut(pid) {
             diag.trace_records += d.records.len() as u64;
             diag.trace_dropped += d.dropped;

@@ -16,14 +16,12 @@
 //!   self/total counts. Ground truth: every walked stack matches the
 //!   emulator's shadow call stack at the interrupt pc.
 //!
-//! Both tools run against every delivery host — [`BinaryEditor`]
-//! (static), [`DynamicInstrumenter`] (live process) and
-//! [`FleetController`] (N processes, fault-isolated) — and report
-//! through the standard `tools.*` diagnostics counters and telemetry
-//! events.
+//! Both tools run against both delivery targets — [`BinaryEditor`] (a
+//! file image) and [`FleetController`] (a set of N ≥ 1 live processes,
+//! fault-isolated) — and report through the standard `tools.*`
+//! diagnostics counters and telemetry events.
 //!
 //! [`BinaryEditor`]: crate::BinaryEditor
-//! [`DynamicInstrumenter`]: crate::DynamicInstrumenter
 //! [`FleetController`]: crate::FleetController
 
 pub mod memtrace;

@@ -27,7 +27,6 @@
 use crate::error::Error;
 use crate::fleet::FleetController;
 use crate::telemetry::TelemetryEvent;
-use crate::DynamicInstrumenter;
 use rvdyn_parse::CodeObject;
 use rvdyn_proccontrol::{Event, Process};
 use rvdyn_stackwalker::{Frame, StackWalker};
@@ -266,38 +265,9 @@ impl Profiler {
         Ok(ProfiledRun { profile, exit_code })
     }
 
-    /// Sample a [`DynamicInstrumenter`]'s process to completion — the
-    /// `rvdyn_cli sample` single-process path. Sample counts land in the
-    /// session diagnostics (`profile_samples`, `profile_max_depth`) and
-    /// every sample emits [`TelemetryEvent::SampleTaken`].
-    pub fn sample_dynamic(&self, dy: &mut DynamicInstrumenter) -> Result<ProfiledRun, Error> {
-        let analysis = dy.analysis().clone();
-        let co = analysis.code();
-        let mut profile = Profile::default();
-        let result = loop {
-            let done = profile.samples >= self.opts.max_samples;
-            let (session, process) = dy.parts_mut();
-            match self.leg(process, co, &mut profile, done) {
-                Ok(Some((pc, depth))) if depth > 0 => {
-                    session.emit(TelemetryEvent::SampleTaken { pc, depth });
-                }
-                Ok(Some(_)) => {}
-                Ok(None) => break Ok(()),
-                Err(e) => break Err(e),
-            }
-        };
-        let (session, process) = dy.parts_mut();
-        process.machine_mut().stop_at_cycles = None;
-        session.diag_mut().profile_samples += profile.samples;
-        let depth = session.diag_mut().profile_max_depth.max(profile.max_depth);
-        session.diag_mut().profile_max_depth = depth;
-        result?;
-        let exit_code = dy.process().exit_code().unwrap_or(0);
-        Ok(ProfiledRun { profile, exit_code })
-    }
-
-    /// Sample every committed fleet process to its terminal event,
-    /// round-robin: one sampling leg per live pid per turn, so all N
+    /// Sample every fleet process to its terminal event, round-robin
+    /// (the `rvdyn_cli sample` path for any N ≥ 1): one sampling leg
+    /// per live pid per turn, so all N
     /// mutatees make progress together and the aggregate profile
     /// interleaves them fairly. Per-pid errors (a `FaultPlan` firing, a
     /// lost process) terminate only that pid's sampling.

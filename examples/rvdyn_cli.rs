@@ -51,8 +51,8 @@ fn usage() -> ! {
          \x20             [interval] modelled cycles — default 10000 — walk\n\
          \x20             the stack with the RISC-V frame steppers, and print\n\
          \x20             the folded flame-style profile with per-function\n\
-         \x20             self/total counts; N>1 samples a fleet of N\n\
-         \x20             processes round-robin — see docs/TOOLS.md)\n\
+         \x20             self/total counts; [N] processes — default 1 —\n\
+         \x20             are sampled round-robin — see docs/TOOLS.md)\n\
          cache <elf> [elf…]\n\
                      (open every file twice through one shared analysis\n\
                       cache: prints each file's content key and whether\n\
@@ -384,14 +384,19 @@ fn main() {
             let out_path = arg(&args, 2);
             let funcs = args.get(3).map(|f| vec![f.clone()]);
             let capacity = num(&args, 4).unwrap_or(1 << 16);
-            let bin = rvdyn::Binary::parse(&elf).unwrap_or_else(die);
-            let mut dy = rvdyn::DynamicInstrumenter::create_with(bin, opts());
+            let mut fleet = rvdyn::FleetController::open(&elf, opts()).unwrap_or_else(die);
+            let pid = fleet.spawn(1)[0];
             let tracer =
-                rvdyn::MemTracer::plan_dynamic(&mut dy, &rvdyn::TraceOptions { capacity, funcs })
+                rvdyn::MemTracer::plan_fleet(&mut fleet, &rvdyn::TraceOptions { capacity, funcs })
                     .unwrap_or_else(die);
-            dy.commit().unwrap_or_else(die);
-            let code = dy.run_to_exit().unwrap_or_else(die);
-            let drained = tracer.drain_dynamic(&mut dy).unwrap_or_else(die);
+            fleet.commit_all().unwrap_or_else(die);
+            fleet.run_all();
+            let code = match fleet.result(pid) {
+                Some(Ok(code)) => *code,
+                Some(Err(e)) => die(e),
+                None => die("mutatee did not run"),
+            };
+            let drained = tracer.drain_fleet(&mut fleet, pid).unwrap_or_else(die);
             let file = std::fs::File::create(&out_path).expect("create");
             let mut sink = rvdyn::TraceSink::new(std::io::BufWriter::new(file));
             for r in &drained.records {
@@ -402,7 +407,7 @@ fn main() {
             let reader = rvdyn::TraceReader::parse(&std::fs::read(&out_path).expect("re-read"))
                 .unwrap_or_else(die);
             if json {
-                println!("{}", dy.diagnostics().to_json());
+                println!("{}", fleet.diagnostics().to_json());
                 return;
             }
             let (lb, sb) = reader.bytes_moved();
@@ -415,56 +420,42 @@ fn main() {
             println!("loads:     {} ({lb} bytes)", reader.loads().count());
             println!("stores:    {} ({sb} bytes)", reader.stores().count());
             println!("wrote {out_path}");
-            println!("--- pipeline diagnostics ---");
-            println!("{}", dy.diagnostics());
+            println!("--- controller diagnostics ---");
+            println!("{}", fleet.diagnostics());
         }
         "sample" => {
             // Sampling profiler (docs/TOOLS.md): cycle-interval
             // interrupts, stackwalker frames, folded flame-style output.
             let elf = std::fs::read(arg(&args, 1)).expect("read");
             let interval = num(&args, 2).unwrap_or(10_000);
-            let n = num(&args, 3).unwrap_or(1) as usize;
+            let n = num(&args, 3).unwrap_or(1).max(1) as usize;
             let profiler = rvdyn::Profiler::new(rvdyn::ProfileOptions {
                 interval_cycles: interval,
                 max_samples: 1 << 20,
             });
-            if n > 1 {
-                let mut fleet = rvdyn::FleetController::open(&elf, opts()).unwrap_or_else(die);
-                fleet.spawn(n);
-                let out = profiler.sample_fleet(&mut fleet).unwrap_or_else(die);
-                if json {
-                    println!("{}", fleet.diagnostics().to_json());
-                    return;
-                }
-                println!(
-                    "fleet of {n}: {} sample(s), max depth {}",
-                    out.profile.samples, out.profile.max_depth
-                );
-                for (pid, p) in &out.per_process {
-                    println!("  pid {pid:>4}: {} sample(s)", p.samples);
-                }
-                print!("{}", out.profile.report());
-                println!("--- controller diagnostics ---");
-                println!("{}", fleet.diagnostics());
-                return;
-            }
-            let bin = rvdyn::Binary::parse(&elf).unwrap_or_else(die);
-            let mut dy = rvdyn::DynamicInstrumenter::create_with(bin, opts());
-            let r = profiler.sample_dynamic(&mut dy).unwrap_or_else(die);
+            let mut fleet = rvdyn::FleetController::open(&elf, opts()).unwrap_or_else(die);
+            fleet.spawn(n);
+            let out = profiler.sample_fleet(&mut fleet).unwrap_or_else(die);
             if json {
-                println!("{}", dy.diagnostics().to_json());
+                println!("{}", fleet.diagnostics().to_json());
                 return;
             }
-            println!("exit code: {}", r.exit_code);
             println!(
-                "samples:   {} every {interval} cycle(s), max depth {}",
-                r.profile.samples, r.profile.max_depth
+                "{n} process(es): {} sample(s) every {interval} cycle(s), max depth {}",
+                out.profile.samples, out.profile.max_depth
             );
-            print!("{}", r.profile.report());
+            for (pid, outcome) in &out.outcomes {
+                let samples = out.per_process.get(pid).map_or(0, |p| p.samples);
+                match outcome {
+                    Ok(code) => println!("  pid {pid:>4}: exit code {code}, {samples} sample(s)"),
+                    Err(e) => println!("  pid {pid:>4}: FAILED — {e}"),
+                }
+            }
+            print!("{}", out.profile.report());
             println!("--- folded stacks (flamegraph input) ---");
-            print!("{}", r.profile.folded_lines());
-            println!("--- pipeline diagnostics ---");
-            println!("{}", dy.diagnostics());
+            print!("{}", out.profile.folded_lines());
+            println!("--- controller diagnostics ---");
+            println!("{}", fleet.diagnostics());
         }
         "cache" => {
             // Two passes over the file list through one shared cache:

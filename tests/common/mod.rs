@@ -1,6 +1,6 @@
-//! Shared test infrastructure: the random structured-program generator
-//! used by the placement proptests and the parallel-rewrite parity
-//! proptests.
+//! Shared test infrastructure: the one-process live-delivery helpers, and
+//! the random structured-program generator used by the placement
+//! proptests and the parallel-rewrite parity proptests.
 //!
 //! [`Stmt`] trees lower to *reducible* CFGs by construction. Two
 //! lowerings exist: `tests/placement.rs` keeps a synthetic
@@ -15,12 +15,28 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use rvdyn::{Error, FleetController, SessionOptions};
 use rvdyn_asm::{Assembler, Layout};
 use rvdyn_isa::{build, IsaProfile, Op, Reg};
 use rvdyn_symtab::{
     Binary, RiscvAttributes, Section, Symbol, SymbolBinding, SymbolKind, SHF_ALLOC, SHF_EXECINSTR,
     SHF_WRITE,
 };
+
+/// One live process: a one-process fleet over `bin`, returning the
+/// controller and the process's pid.
+pub fn one_process(bin: Binary, opts: SessionOptions) -> (FleetController, u32) {
+    let mut fleet = FleetController::from_binary(bin, opts);
+    let pid = fleet.spawn(1)[0];
+    (fleet, pid)
+}
+
+/// Run every committed process to its terminal event and return `pid`'s
+/// outcome: its exit code, or its typed per-process error.
+pub fn run_to_exit(fleet: &mut FleetController, pid: u32) -> &Result<i64, Error> {
+    fleet.run_all();
+    fleet.result(pid).expect("pid reached a terminal event")
+}
 
 /// Structured program shapes lower to reducible CFGs by construction.
 #[derive(Debug, Clone)]

@@ -6,8 +6,11 @@
 //! the very next execution — never a stale cached step. The FaultPlan
 //! corrupt-write case pins the same hook for torn deliveries.
 
+mod common;
+
+use common::run_to_exit;
 use rvdyn::{
-    DynamicInstrumenter, EmuEngine, Error, Event, FaultPlan, PointKind, Process, SessionOptions,
+    EmuEngine, Error, Event, FaultPlan, FleetController, PointKind, Process, SessionOptions,
     Snippet,
 };
 use rvdyn_asm::{matmul_program, tiny_function_program};
@@ -50,19 +53,23 @@ fn springboard_write_into_hot_block_redirects_on_both_engines() {
             );
         }
 
-        let mut dy = DynamicInstrumenter::attach_with(bin, p, SessionOptions::new().engine(engine));
-        let counter = dy.alloc_var(8);
-        let pts = dy.find_points("matmul", PointKind::FuncEntry).unwrap();
-        dy.insert(&pts, Snippet::increment(counter));
-        dy.commit().unwrap();
+        let mut fleet = FleetController::from_binary(bin, SessionOptions::new().engine(engine));
+        let pid = fleet.attach(p);
+        let counter = fleet.alloc_var(8);
+        let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+        fleet.insert(&pts, Snippet::increment(counter));
+        fleet.commit_all().unwrap();
         if engine == EmuEngine::Cached {
             assert!(
-                dy.process().machine().emu_invalidations() > 0,
+                fleet
+                    .with_process(pid, |p| p.machine().emu_invalidations())
+                    .unwrap()
+                    > 0,
                 "committing springboards into hot blocks must invalidate them"
             );
         }
-        assert_eq!(dy.run_to_exit().unwrap(), 0);
-        counters.push(dy.read_var(counter).unwrap());
+        assert!(matches!(run_to_exit(&mut fleet, pid), Ok(0)));
+        counters.push(fleet.read_var(pid, counter).unwrap());
         // The redirect was taken on the remaining calls, through freshly
         // re-decoded blocks — the counter saw every post-commit entry.
         assert!(counters.last().copied().unwrap() > 0);
@@ -89,17 +96,20 @@ fn trap_springboard_into_hot_block_resolves_on_both_engines() {
         p.machine_mut().engine = engine;
         warm_to(&mut p, tiny, warm_hits);
 
-        let mut dy = DynamicInstrumenter::attach_with(bin, p, SessionOptions::new().engine(engine));
-        let counter = dy.alloc_var(8);
-        let pts = dy.find_points("tiny", PointKind::FuncEntry).unwrap();
-        dy.insert(&pts, Snippet::increment(counter));
-        dy.commit().unwrap();
+        let mut fleet = FleetController::from_binary(bin, SessionOptions::new().engine(engine));
+        let pid = fleet.attach(p);
+        let counter = fleet.alloc_var(8);
+        let pts = fleet.find_points("tiny", PointKind::FuncEntry).unwrap();
+        fleet.insert(&pts, Snippet::increment(counter));
+        fleet.commit_all().unwrap();
         assert!(
-            dy.process().machine().trap_redirects.contains_key(&tiny),
+            fleet
+                .with_process(pid, |p| p.machine().trap_redirects.contains_key(&tiny))
+                .unwrap(),
             "tiny must use the trap springboard"
         );
-        assert_eq!(dy.run_to_exit().unwrap(), 0);
-        counters.push(dy.read_var(counter).unwrap());
+        assert!(matches!(run_to_exit(&mut fleet, pid), Ok(0)));
+        counters.push(fleet.read_var(pid, counter).unwrap());
     }
     assert_eq!(
         counters[0], counters[1],
@@ -125,25 +135,30 @@ fn corrupt_write_invalidates_hot_cached_blocks() {
     let warm_blocks = p.machine().emu_blocks_translated();
     assert!(warm_blocks > 0);
 
-    let plan = FaultPlan::new().corrupt_write(1, 0);
-    let mut dy = DynamicInstrumenter::attach_with(
-        bin,
-        p,
-        SessionOptions::new()
-            .engine(EmuEngine::Cached)
-            .fault_plan(plan),
-    );
-    let counter = dy.alloc_var(8);
-    let pts = dy.find_points("matmul", PointKind::FuncEntry).unwrap();
-    dy.insert(&pts, Snippet::increment(counter));
+    let mut fleet =
+        FleetController::from_binary(bin, SessionOptions::new().engine(EmuEngine::Cached));
+    let pid = fleet.attach(p);
+    fleet
+        .set_fault_plan(pid, FaultPlan::new().corrupt_write(1, 0))
+        .unwrap();
+    let counter = fleet.alloc_var(8);
+    let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+    fleet.insert(&pts, Snippet::increment(counter));
+    fleet.commit_all().unwrap();
     // The corrupted region fails read-back verification…
-    assert!(matches!(dy.commit(), Err(Error::PatchVerifyFailed { .. })));
+    assert!(matches!(
+        fleet.result(pid),
+        Some(Err(Error::PatchVerifyFailed { .. }))
+    ));
     // …but the bytes *were* delivered, and the invalidation hook killed
     // the overlapping cached blocks — the coherence invariant holds even
     // for torn writes the commit refused.
     assert!(
-        dy.process().machine().emu_invalidations() > 0,
+        fleet
+            .with_process(pid, |p| p.machine().emu_invalidations())
+            .unwrap()
+            > 0,
         "corrupt write must invalidate overlapping cached blocks"
     );
-    assert_eq!(dy.diagnostics().faults_injected, 1);
+    assert_eq!(fleet.process_diagnostics(pid).unwrap().faults_injected, 1);
 }

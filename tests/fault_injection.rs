@@ -5,14 +5,25 @@
 //! with no test-only code paths in the library crates. Each fault here
 //! produces the real typed error ([`Error::PatchVerifyFailed`],
 //! [`Error::RedirectMiss`]) or a recoverable spurious stop, and the
-//! injection is counted in the session diagnostics.
+//! injection is counted in the process's diagnostics. Each plan is armed
+//! on one pid of a one-process fleet.
 
+mod common;
+
+use common::{one_process, run_to_exit};
 use rvdyn::telemetry::CollectSink;
 use rvdyn::{
-    DynamicInstrumenter, Error, Event, FaultPlan, PointKind, Process, SessionOptions, Snippet,
+    Binary, Error, Event, FaultPlan, FleetController, PointKind, Process, SessionOptions, Snippet,
     TelemetryEvent,
 };
 use rvdyn_asm::{many_functions_program, matmul_program, tiny_function_program};
+
+/// A one-process fleet with `plan` armed on its process.
+fn faulty(bin: Binary, opts: SessionOptions, plan: FaultPlan) -> (FleetController, u32) {
+    let (mut fleet, pid) = one_process(bin, opts);
+    fleet.set_fault_plan(pid, plan).unwrap();
+    (fleet, pid)
+}
 
 /// Write 0 of a commit is the data-area zero-fill; write 1 is the first
 /// verified patch region. Corrupting one byte of it must fail read-back
@@ -21,18 +32,19 @@ use rvdyn_asm::{many_functions_program, matmul_program, tiny_function_program};
 fn corrupted_patch_write_is_a_verify_failure() {
     let bin = matmul_program(4, 1);
     let plan = FaultPlan::new().corrupt_write(1, 0);
-    let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new().fault_plan(plan));
-    let counter = dy.alloc_var(8);
-    let pts = dy.find_points("matmul", PointKind::FuncEntry).unwrap();
-    dy.insert(&pts, Snippet::increment(counter));
-    let failed_at = match dy.commit() {
-        Err(Error::PatchVerifyFailed { addr }) => addr,
+    let (mut fleet, pid) = faulty(bin, SessionOptions::new(), plan);
+    let counter = fleet.alloc_var(8);
+    let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+    fleet.insert(&pts, Snippet::increment(counter));
+    fleet.commit_all().unwrap();
+    let failed_at = match fleet.result(pid) {
+        Some(Err(Error::PatchVerifyFailed { addr })) => *addr,
         other => panic!("expected PatchVerifyFailed, got {other:?}"),
     };
     assert!(failed_at > 0);
 
     // The injection is visible in the diagnostics and the JSON schema.
-    let d = dy.diagnostics();
+    let d = fleet.process_diagnostics(pid).unwrap();
     assert_eq!(d.faults_injected, 1);
     assert!(d.to_json().contains("\"faults\":{\"injected\":1}"));
     // The failed region was not counted as written.
@@ -45,12 +57,16 @@ fn corrupted_patch_write_is_a_verify_failure() {
 fn short_patch_write_is_a_verify_failure() {
     let bin = matmul_program(4, 1);
     let plan = FaultPlan::new().short_write(1, 1);
-    let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new().fault_plan(plan));
-    let counter = dy.alloc_var(8);
-    let pts = dy.find_points("matmul", PointKind::FuncEntry).unwrap();
-    dy.insert(&pts, Snippet::increment(counter));
-    assert!(matches!(dy.commit(), Err(Error::PatchVerifyFailed { .. })));
-    assert_eq!(dy.diagnostics().faults_injected, 1);
+    let (mut fleet, pid) = faulty(bin, SessionOptions::new(), plan);
+    let counter = fleet.alloc_var(8);
+    let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+    fleet.insert(&pts, Snippet::increment(counter));
+    fleet.commit_all().unwrap();
+    assert!(matches!(
+        fleet.result(pid),
+        Some(Err(Error::PatchVerifyFailed { .. }))
+    ));
+    assert_eq!(fleet.process_diagnostics(pid).unwrap().faults_injected, 1);
 }
 
 /// Dropping the Nth trap-redirect resolution: the mutatee's 2-byte
@@ -62,27 +78,27 @@ fn dropped_redirect_resolution_is_a_redirect_miss() {
     let bin = tiny_function_program(50);
     let tiny = bin.symbol_by_name("tiny").unwrap().value;
     let plan = FaultPlan::new().drop_redirect(3);
-    let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new().fault_plan(plan));
-    let counter = dy.alloc_var(8);
-    let pts = dy.find_points("tiny", PointKind::FuncEntry).unwrap();
-    dy.insert(&pts, Snippet::increment(counter));
-    dy.commit().unwrap();
+    let (mut fleet, pid) = faulty(bin, SessionOptions::new(), plan);
+    let counter = fleet.alloc_var(8);
+    let pts = fleet.find_points("tiny", PointKind::FuncEntry).unwrap();
+    fleet.insert(&pts, Snippet::increment(counter));
+    fleet.commit_all().unwrap();
     assert!(
-        dy.process().machine().trap_redirects.contains_key(&tiny),
+        fleet
+            .with_process(pid, |p| p.machine().trap_redirects.contains_key(&tiny))
+            .unwrap(),
         "trap springboard registered"
     );
 
-    match dy.run_to_exit() {
-        Err(Error::RedirectMiss { pc }) => assert_eq!(pc, tiny),
+    match run_to_exit(&mut fleet, pid) {
+        Err(Error::RedirectMiss { pc }) => assert_eq!(*pc, tiny),
         other => panic!("expected RedirectMiss, got {other:?}"),
     }
     // Resolutions 0..3 went through before the drop: 3 counted visits.
-    assert_eq!(dy.read_var(counter), Some(3));
-    assert_eq!(dy.diagnostics().faults_injected, 1);
-    assert!(dy
-        .diagnostics()
-        .to_json()
-        .contains("\"faults\":{\"injected\":1}"));
+    assert_eq!(fleet.read_var(pid, counter), Some(3));
+    let d = fleet.process_diagnostics(pid).unwrap();
+    assert_eq!(d.faults_injected, 1);
+    assert!(d.to_json().contains("\"faults\":{\"injected\":1}"));
 }
 
 /// A delayed stop on the raw debug interface: the Nth stop event comes
@@ -117,22 +133,23 @@ fn run_loop_recovers_from_delayed_stop() {
     let main = bin.symbol_by_name("main").unwrap().value;
     let sink = CollectSink::new();
     let plan = FaultPlan::new().delay_stop(0);
-    let opts = SessionOptions::new()
-        .fault_plan(plan)
-        .telemetry(sink.clone());
-    let mut dy = DynamicInstrumenter::create_with(bin, opts);
-    let counter = dy.alloc_var(8);
-    let pts = dy.find_points("matmul", PointKind::FuncEntry).unwrap();
-    dy.insert(&pts, Snippet::increment(counter));
-    dy.commit().unwrap();
+    let opts = SessionOptions::new().telemetry(sink.clone());
+    let (mut fleet, pid) = faulty(bin, opts, plan);
+    let counter = fleet.alloc_var(8);
+    let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+    fleet.insert(&pts, Snippet::increment(counter));
+    fleet.commit_all().unwrap();
     // Plant a breakpoint so the run actually stops mid-flight; the run
     // loop treats both the spurious step and the real breakpoint as
     // continue-and-go.
-    dy.process_mut().set_breakpoint(main).unwrap();
+    fleet
+        .with_process(pid, |p| p.set_breakpoint(main))
+        .unwrap()
+        .unwrap();
 
-    assert_eq!(dy.run_to_exit().unwrap(), 0);
-    assert_eq!(dy.read_var(counter), Some(2));
-    assert_eq!(dy.diagnostics().faults_injected, 1);
+    assert!(matches!(run_to_exit(&mut fleet, pid), Ok(0)));
+    assert_eq!(fleet.read_var(pid, counter), Some(2));
+    assert_eq!(fleet.process_diagnostics(pid).unwrap().faults_injected, 1);
 
     // The injection was streamed to telemetry as it happened.
     assert!(sink
@@ -150,25 +167,25 @@ fn corrupted_write_fails_at_the_same_region_for_any_thread_count() {
     let fail_addr = |threads: usize| {
         let bin = many_functions_program(16);
         let plan = FaultPlan::new().corrupt_write(2, 0);
-        let mut dy = DynamicInstrumenter::create_with(
-            bin,
-            SessionOptions::new().threads(threads).fault_plan(plan),
-        );
-        let counter = dy.alloc_var(8);
+        let (mut fleet, pid) = faulty(bin, SessionOptions::new().threads(threads), plan);
+        let counter = fleet.alloc_var(8);
         let mut pts = Vec::new();
         for i in 0..16 {
             pts.extend(
-                dy.find_points(&format!("f_{i}"), PointKind::BlockEntry)
+                fleet
+                    .find_points(&format!("f_{i}"), PointKind::BlockEntry)
                     .unwrap(),
             );
         }
-        dy.insert(&pts, Snippet::increment(counter));
-        let addr = match dy.commit() {
-            Err(Error::PatchVerifyFailed { addr }) => addr,
+        fleet.insert(&pts, Snippet::increment(counter));
+        fleet.commit_all().unwrap();
+        let addr = match fleet.result(pid) {
+            Some(Err(Error::PatchVerifyFailed { addr })) => *addr,
             other => panic!("expected PatchVerifyFailed at threads={threads}, got {other:?}"),
         };
-        assert_eq!(dy.diagnostics().faults_injected, 1);
-        assert_eq!(dy.diagnostics().instrument_workers, threads.min(16));
+        let d = fleet.process_diagnostics(pid).unwrap();
+        assert_eq!(d.faults_injected, 1);
+        assert_eq!(d.instrument_workers, threads.min(16));
         addr
     };
     let sequential = fail_addr(1);
@@ -189,18 +206,17 @@ fn dropped_redirect_under_worker_pool_matches_sequential() {
     let bin = tiny_function_program(50);
     let tiny = bin.symbol_by_name("tiny").unwrap().value;
     let plan = FaultPlan::new().drop_redirect(3);
-    let mut dy =
-        DynamicInstrumenter::create_with(bin, SessionOptions::new().threads(4).fault_plan(plan));
-    let counter = dy.alloc_var(8);
-    let pts = dy.find_points("tiny", PointKind::FuncEntry).unwrap();
-    dy.insert(&pts, Snippet::increment(counter));
-    dy.commit().unwrap();
-    match dy.run_to_exit() {
-        Err(Error::RedirectMiss { pc }) => assert_eq!(pc, tiny),
+    let (mut fleet, pid) = faulty(bin, SessionOptions::new().threads(4), plan);
+    let counter = fleet.alloc_var(8);
+    let pts = fleet.find_points("tiny", PointKind::FuncEntry).unwrap();
+    fleet.insert(&pts, Snippet::increment(counter));
+    fleet.commit_all().unwrap();
+    match run_to_exit(&mut fleet, pid) {
+        Err(Error::RedirectMiss { pc }) => assert_eq!(*pc, tiny),
         other => panic!("expected RedirectMiss, got {other:?}"),
     }
-    assert_eq!(dy.read_var(counter), Some(3));
-    assert_eq!(dy.diagnostics().faults_injected, 1);
+    assert_eq!(fleet.read_var(pid, counter), Some(3));
+    assert_eq!(fleet.process_diagnostics(pid).unwrap().faults_injected, 1);
 }
 
 /// A plan-phase failure inside a worker (snippet lowering running out of
@@ -217,16 +233,17 @@ fn plan_phase_worker_errors_propagate_as_the_same_typed_error() {
     }
     let msg = |threads: usize| {
         let bin = many_functions_program(8);
-        let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new().threads(threads));
+        let (mut fleet, _) = one_process(bin, SessionOptions::new().threads(threads));
         let mut pts = Vec::new();
         for i in 0..8 {
             pts.extend(
-                dy.find_points(&format!("f_{i}"), PointKind::FuncEntry)
+                fleet
+                    .find_points(&format!("f_{i}"), PointKind::FuncEntry)
                     .unwrap(),
             );
         }
-        dy.insert(&pts, deep(14));
-        match dy.commit() {
+        fleet.insert(&pts, deep(14));
+        match fleet.commit_all() {
             Err(e) => e.to_string(),
             Ok(()) => panic!("expected an out-of-registers failure"),
         }
@@ -244,17 +261,14 @@ fn plan_phase_worker_errors_propagate_as_the_same_typed_error() {
 #[test]
 fn empty_fault_plan_is_inert() {
     let bin = matmul_program(4, 2);
-    let opts = SessionOptions::new().fault_plan(FaultPlan::new());
-    let mut dy = DynamicInstrumenter::create_with(bin, opts);
-    let counter = dy.alloc_var(8);
-    let pts = dy.find_points("matmul", PointKind::FuncEntry).unwrap();
-    dy.insert(&pts, Snippet::increment(counter));
-    dy.commit().unwrap();
-    assert_eq!(dy.run_to_exit().unwrap(), 0);
-    assert_eq!(dy.read_var(counter), Some(2));
-    assert_eq!(dy.diagnostics().faults_injected, 0);
-    assert!(dy
-        .diagnostics()
-        .to_json()
-        .contains("\"faults\":{\"injected\":0}"));
+    let (mut fleet, pid) = faulty(bin, SessionOptions::new(), FaultPlan::new());
+    let counter = fleet.alloc_var(8);
+    let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+    fleet.insert(&pts, Snippet::increment(counter));
+    fleet.commit_all().unwrap();
+    assert!(matches!(run_to_exit(&mut fleet, pid), Ok(0)));
+    assert_eq!(fleet.read_var(pid, counter), Some(2));
+    let d = fleet.process_diagnostics(pid).unwrap();
+    assert_eq!(d.faults_injected, 0);
+    assert!(d.to_json().contains("\"faults\":{\"injected\":0}"));
 }

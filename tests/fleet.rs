@@ -1,31 +1,32 @@
 //! Fleet-scale dynamic instrumentation, end to end through the public
 //! API: one [`FleetController`] must instrument N mutatees with the
-//! exact bytes a sequential [`DynamicInstrumenter`] session delivers,
-//! isolate injected faults to the targeted process, produce identical
-//! results at every worker count, and survive a process dying in the
-//! middle of a fleet-wide patch commit. The contract under test is
-//! written down in `docs/FLEET.md`.
+//! exact bytes the static [`BinaryEditor`] writes into a rewritten
+//! image, isolate injected faults to the targeted process, produce
+//! identical results at every worker count, survive a process dying in
+//! the middle of a fleet-wide patch commit, and uninstrument one
+//! attached process without disturbing the rest. The contract under
+//! test is written down in `docs/FLEET.md`.
 
 use rvdyn::telemetry::CollectSink;
 use rvdyn::tools::{MemTracer, TraceOptions};
 use rvdyn::{
-    DynamicInstrumenter, Error, FaultPlan, FleetController, PointKind, ProfileOptions, Profiler,
-    SessionOptions, Snippet, TelemetryEvent,
+    BinaryEditor, Error, Event, FaultPlan, FleetController, PointKind, Process, ProfileOptions,
+    Profiler, RunOutput, SessionOptions, Snippet, TelemetryEvent,
 };
 use rvdyn_asm::matmul_program;
 
-/// Drive one sequential single-process session over the same binary and
-/// snippet the fleet uses; returns (exit_code, counter, process) so
-/// callers can compare memory against fleet processes.
-fn sequential_reference() -> (i64, u64, DynamicInstrumenter) {
-    let mut di = DynamicInstrumenter::create(matmul_program(8, 2));
-    let c = di.alloc_var(8);
-    let pts = di.find_points("matmul", PointKind::FuncEntry).unwrap();
-    di.insert(&pts, Snippet::increment(c));
-    di.commit().unwrap();
-    let code = di.run_to_exit().unwrap();
-    let counter = di.read_var(c).unwrap();
-    (code, counter, di)
+/// The static path over the same binary and snippet the fleet uses:
+/// rewrite the file image and run it. Returns (exit_code, counter, run)
+/// so callers can compare the rewritten image's memory against fleet
+/// processes.
+fn static_reference() -> (i64, u64, RunOutput) {
+    let mut ed = BinaryEditor::from_binary(matmul_program(8, 2), SessionOptions::new());
+    let c = ed.alloc_var(8);
+    let pts = ed.find_points("matmul", PointKind::FuncEntry).unwrap();
+    ed.insert(&pts, Snippet::increment(c));
+    let out = ed.instrument_and_run(100_000_000).unwrap();
+    let counter = out.read_u64(c.addr).unwrap();
+    (out.exit_code, counter, out)
 }
 
 fn instrumented_fleet(n: usize, opts: SessionOptions) -> (FleetController, Vec<u32>, rvdyn::Var) {
@@ -37,12 +38,12 @@ fn instrumented_fleet(n: usize, opts: SessionOptions) -> (FleetController, Vec<u
     (fleet, pids, c)
 }
 
-/// The tentpole parity claim: a fleet of 100 processes ends up with
-/// patch regions *bit-identical* to a sequential session's, in every
-/// process, and every process computes the same result.
+/// The parity claim: a fleet of 100 processes ends up with patch regions
+/// *bit-identical* to the static rewrite's image, in every process, and
+/// every process computes the static run's result.
 #[test]
-fn fleet_of_100_matches_sequential_sessions_bit_for_bit() {
-    let (seq_code, seq_counter, seq) = sequential_reference();
+fn fleet_of_100_matches_the_static_rewrite_bit_for_bit() {
+    let (seq_code, seq_counter, image) = static_reference();
     assert_eq!(seq_code, 0);
 
     let (mut fleet, pids, c) = instrumented_fleet(100, SessionOptions::new());
@@ -59,16 +60,16 @@ fn fleet_of_100_matches_sequential_sessions_bit_for_bit() {
         );
         assert_eq!(fleet.read_var(*pid, c), Some(seq_counter), "pid {pid}");
         // Every delivered region must read back byte-identical to the
-        // sequential process's memory at the same addresses.
+        // rewritten image's memory at the same addresses.
         for (addr, bytes) in &regions {
             let fleet_bytes = fleet
                 .with_process(*pid, |p| p.read_mem(*addr, bytes.len()).unwrap())
                 .unwrap();
-            let seq_bytes = seq.process().read_mem(*addr, bytes.len()).unwrap();
+            let static_bytes = image.machine().read_mem(*addr, bytes.len()).unwrap();
             assert_eq!(fleet_bytes, *bytes, "pid {pid} region {addr:#x} vs plan");
             assert_eq!(
-                fleet_bytes, seq_bytes,
-                "pid {pid} region {addr:#x} vs sequential"
+                fleet_bytes, static_bytes,
+                "pid {pid} region {addr:#x} vs static image"
             );
         }
     }
@@ -86,7 +87,7 @@ fn fleet_of_100_matches_sequential_sessions_bit_for_bit() {
 /// count as if nothing happened.
 #[test]
 fn targeted_fault_hits_one_process_and_spares_the_rest() {
-    let (_, seq_counter, _) = sequential_reference();
+    let (_, seq_counter, _) = static_reference();
     let (mut fleet, pids, c) = instrumented_fleet(8, SessionOptions::new());
     let victim = pids[3];
     // Write 0 is the data-area zero-fill; write 1 the first region.
@@ -304,4 +305,59 @@ fn dead_process_does_not_perturb_other_fleet_profiles() {
         live_samples += out.per_process[&pid].samples;
     }
     assert_eq!(out.profile.samples, live_samples);
+}
+
+/// Attach and uninstrument one member of a running fleet: two spawned
+/// processes plus one attached mid-run share one commit; removing the
+/// attached pid's instrumentation halfway through its run freezes its
+/// counter while the other two count every call to completion.
+#[test]
+fn uninstrumenting_an_attached_pid_freezes_only_its_counter() {
+    let reps = 6u64;
+    let bin = matmul_program(5, reps as usize);
+    let main = bin.symbol_by_name("main").unwrap().value;
+
+    // Half the uninstrumented run's modelled cycles: the attached pid
+    // is uninstrumented somewhere in the middle of its matmul calls.
+    let mut probe = Process::launch(&bin);
+    while !matches!(probe.cont().unwrap(), Event::Exited(_)) {}
+    let halfway = probe.machine().cycles / 2;
+
+    // A process already running, stopped at main.
+    let mut running = Process::launch(&bin);
+    running.set_breakpoint(main).unwrap();
+    assert_eq!(running.cont().unwrap(), Event::Breakpoint(main));
+    running.remove_breakpoint(main).unwrap();
+
+    let mut fleet = FleetController::from_binary(bin, SessionOptions::new());
+    let spawned = fleet.spawn(2);
+    let attached = fleet.attach(running);
+    let c = fleet.alloc_var(8);
+    let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+    fleet.insert(&pts, Snippet::increment(c));
+    fleet.commit_all().unwrap();
+
+    // Run the attached pid to the halfway cycle, then uninstrument it.
+    let stop = fleet
+        .with_process(attached, |p| {
+            p.machine_mut().stop_at_cycles = Some(halfway);
+            p.cont().unwrap()
+        })
+        .unwrap();
+    assert!(matches!(stop, Event::CycleLimit(_)), "got {stop:?}");
+    let frozen = fleet.read_var(attached, c).unwrap();
+    assert!(
+        frozen > 0 && frozen < reps,
+        "the attached pid must stop mid-run, counted {frozen} of {reps}"
+    );
+    fleet.remove_instrumentation(attached).unwrap();
+    fleet.run_all();
+
+    assert!(matches!(fleet.result(attached), Some(Ok(0))));
+    assert_eq!(fleet.read_var(attached, c), Some(frozen), "counter frozen");
+    for pid in spawned {
+        assert!(matches!(fleet.result(pid), Some(Ok(0))), "pid {pid}");
+        assert_eq!(fleet.read_var(pid, c), Some(reps), "pid {pid}");
+    }
+    assert_eq!(fleet.summary().processes_failed, 0);
 }

@@ -2,9 +2,12 @@
 //! both instrumentation variants of Figure 1 against the same mutatees
 //! and cross-checking their results.
 
+mod common;
+
+use common::{one_process, run_to_exit};
 use rvdyn::{
-    Binary, BinaryEditor, CodeObject, DynamicInstrumenter, ParseOptions, PointKind, RegAllocMode,
-    SessionOptions, Snippet,
+    Binary, BinaryEditor, CodeObject, ParseOptions, PointKind, RegAllocMode, SessionOptions,
+    Snippet,
 };
 
 /// Closed-form dynamic block count of one matmul(n) call (11-block shape).
@@ -42,23 +45,23 @@ fn figure1_static_and_dynamic_paths_agree_everywhere() {
 
     // --- dynamic (right path, create variant) ---
     let bin = rvdyn_asm::matmul_program(n, reps);
-    let mut dy = DynamicInstrumenter::create(bin);
-    let d_entry = dy.alloc_var(8);
-    let d_block = dy.alloc_var(8);
-    dy.insert(
-        &dy.find_points("matmul", PointKind::FuncEntry).unwrap(),
+    let (mut fleet, pid) = one_process(bin, SessionOptions::new());
+    let d_entry = fleet.alloc_var(8);
+    let d_block = fleet.alloc_var(8);
+    fleet.insert(
+        &fleet.find_points("matmul", PointKind::FuncEntry).unwrap(),
         Snippet::increment(d_entry),
     );
-    dy.insert(
-        &dy.find_points("matmul", PointKind::BlockEntry).unwrap(),
+    fleet.insert(
+        &fleet.find_points("matmul", PointKind::BlockEntry).unwrap(),
         Snippet::increment(d_block),
     );
-    dy.commit().unwrap();
-    assert_eq!(dy.run_to_exit().unwrap(), 0);
+    fleet.commit_all().unwrap();
+    assert!(matches!(run_to_exit(&mut fleet, pid), Ok(0)));
 
     assert_eq!(static_entry, reps as u64);
-    assert_eq!(dy.read_var(d_entry), Some(static_entry));
-    assert_eq!(dy.read_var(d_block), Some(static_block));
+    assert_eq!(fleet.read_var(pid, d_entry), Some(static_entry));
+    assert_eq!(fleet.read_var(pid, d_block), Some(static_block));
     assert_eq!(static_block, matmul_blocks(n as u64) * reps as u64);
 }
 

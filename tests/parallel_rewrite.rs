@@ -8,12 +8,10 @@
 
 mod common;
 
-use common::ProgramStrategy;
+use common::{one_process, run_to_exit, ProgramStrategy};
 use proptest::prelude::*;
 use rvdyn::telemetry::CollectSink;
-use rvdyn::{
-    Binary, BinaryEditor, DynamicInstrumenter, PointKind, SessionOptions, Snippet, TelemetryEvent,
-};
+use rvdyn::{Binary, BinaryEditor, PointKind, SessionOptions, Snippet, TelemetryEvent};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -132,26 +130,30 @@ fn dynamic_commit_is_bit_identical_across_thread_counts() {
         };
         let mut counters = Vec::new();
         for t in THREADS {
-            let mut dy =
-                DynamicInstrumenter::create_with(bin.clone(), SessionOptions::new().threads(t));
-            let c = dy.alloc_var(8);
+            let (mut fleet, pid) = one_process(bin.clone(), SessionOptions::new().threads(t));
+            let c = fleet.alloc_var(8);
             let mut pts = Vec::new();
             for (f, kind) in &funcs {
-                pts.extend(dy.find_points(f, *kind).unwrap());
+                pts.extend(fleet.find_points(f, *kind).unwrap());
             }
-            dy.insert(&pts, Snippet::increment(c));
-            dy.commit().unwrap();
+            fleet.insert(&pts, Snippet::increment(c));
+            fleet.commit_all().unwrap();
             // Every byte the reference plan wrote must be in the live
             // process, exactly.
             for (addr, bytes) in reference.memory_writes() {
-                let got = dy.process().read_mem(*addr, bytes.len()).unwrap();
+                let got = fleet
+                    .with_process(pid, |p| p.read_mem(*addr, bytes.len()).unwrap())
+                    .unwrap();
                 assert_eq!(
                     &got, bytes,
                     "{name}: committed bytes at {addr:#x} differ at threads={t}"
                 );
             }
-            assert_eq!(dy.run_to_exit().unwrap(), 0, "{name} exit at threads={t}");
-            counters.push(dy.read_var(c).unwrap());
+            assert!(
+                matches!(run_to_exit(&mut fleet, pid), Ok(0)),
+                "{name} exit at threads={t}"
+            );
+            counters.push(fleet.read_var(pid, c).unwrap());
         }
         assert!(
             counters.windows(2).all(|w| w[0] == w[1]),

@@ -12,12 +12,12 @@
 
 mod common;
 
-use common::{ProgramStrategy, Stmt};
+use common::{one_process, run_to_exit, ProgramStrategy, Stmt};
 use proptest::prelude::*;
 use rvdyn::telemetry::CollectSink;
 use rvdyn::{
-    plan_block_counters, BinaryEditor, CounterPlacement, CounterSite, DynamicInstrumenter,
-    SessionOptions, TelemetryEvent,
+    plan_block_counters, BinaryEditor, CounterPlacement, CounterSite, SessionOptions,
+    TelemetryEvent,
 };
 use rvdyn_parse::block::{BasicBlock, Edge, EdgeKind};
 use rvdyn_parse::Function;
@@ -165,26 +165,26 @@ fn dynamic_optimal_counts_match_every_block() {
     let (n, reps) = (5usize, 2usize);
 
     let bin = rvdyn_asm::matmul_program(n, reps);
-    let mut dy = DynamicInstrumenter::create(bin);
-    let bc = dy.count_blocks("matmul").unwrap();
-    dy.commit().unwrap();
-    assert_eq!(dy.run_to_exit().unwrap(), 0);
-    let truth = dy.block_counts(&bc).unwrap();
+    let (mut fleet, pid) = one_process(bin, SessionOptions::new());
+    let bc = fleet.count_blocks("matmul").unwrap();
+    fleet.commit_all().unwrap();
+    assert!(matches!(run_to_exit(&mut fleet, pid), Ok(0)));
+    let truth = fleet.block_counts(pid, &bc).unwrap();
 
     let bin = rvdyn_asm::matmul_program(n, reps);
-    let mut dy = DynamicInstrumenter::create_with(bin, optimal_opts());
-    let bc = dy.count_blocks("matmul").unwrap();
+    let (mut fleet, pid) = one_process(bin, optimal_opts());
+    let bc = fleet.count_blocks("matmul").unwrap();
     assert!(bc.is_optimal());
-    dy.commit().unwrap();
-    assert_eq!(dy.run_to_exit().unwrap(), 0);
-    let counts = dy.block_counts(&bc).unwrap();
+    fleet.commit_all().unwrap();
+    assert!(matches!(run_to_exit(&mut fleet, pid), Ok(0)));
+    let counts = fleet.block_counts(pid, &bc).unwrap();
 
     assert_eq!(counts, truth);
     assert_eq!(
         counts.values().copied().collect::<Vec<_>>(),
         matmul_truth(n as u64, reps as u64)
     );
-    assert_eq!(dy.diagnostics().counts_reconstructed, 11);
+    assert_eq!(fleet.diagnostics().counts_reconstructed, 11);
 }
 
 // --- proptest: random reducible CFGs ---------------------------------------

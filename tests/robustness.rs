@@ -1,6 +1,9 @@
 //! Robustness suite: regression tests for found bugs plus stress and
 //! fuzz-style coverage of the rewriter.
 
+mod common;
+
+use common::{one_process, run_to_exit};
 use rvdyn::{BinaryEditor, PointKind, SessionOptions, Snippet};
 
 #[test]
@@ -189,7 +192,7 @@ fn no_compressed_profile_gets_no_compressed_springboards() {
 
 mod typed_errors {
     use super::*;
-    use rvdyn::{DynamicInstrumenter, Error, RegAllocMode, Stage};
+    use rvdyn::{Error, RegAllocMode, Stage};
 
     #[test]
     fn mutatee_fault_is_a_typed_error_with_pc_and_addr() {
@@ -197,22 +200,21 @@ mod typed_errors {
         // unmapped memory. The fetch fault must surface as MutateeFault —
         // never a mutator panic.
         let bin = rvdyn_asm::matmul_program(4, 1);
-        let mut dy = DynamicInstrumenter::create(bin);
-        let c = dy.alloc_var(8);
-        let pts = dy.find_points("matmul", PointKind::FuncEntry).unwrap();
-        dy.insert(&pts, Snippet::increment(c));
-        dy.commit().unwrap();
-        dy.process_mut().set_pc(0xDEAD_0000);
-        match dy.run_to_exit() {
-            Err(Error::MutateeFault { pc, addr }) => {
-                assert_eq!(pc, 0xDEAD_0000);
-                assert_eq!(addr, 0xDEAD_0000);
+        let (mut fleet, pid) = one_process(bin, SessionOptions::new());
+        let c = fleet.alloc_var(8);
+        let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+        fleet.insert(&pts, Snippet::increment(c));
+        fleet.commit_all().unwrap();
+        fleet.with_process(pid, |p| p.set_pc(0xDEAD_0000)).unwrap();
+        let err = run_to_exit(&mut fleet, pid).as_ref().unwrap_err();
+        match err {
+            Error::MutateeFault { pc, addr } => {
+                assert_eq!(*pc, 0xDEAD_0000);
+                assert_eq!(*addr, 0xDEAD_0000);
             }
             other => panic!("expected MutateeFault, got {other:?}"),
         }
         // The error also reports its stage and pc generically.
-        dy.process_mut().set_pc(0xDEAD_0000);
-        let err = dy.run_to_exit().unwrap_err();
         assert_eq!(err.stage(), Stage::Run);
         assert_eq!(err.pc(), Some(0xDEAD_0000));
     }
@@ -354,19 +356,19 @@ mod typed_errors {
     fn diagnostics_cover_the_full_pipeline() {
         // One end-to-end dynamic run with every stage's counters checked.
         let bin = rvdyn_asm::matmul_program(5, 3);
-        let mut dy = DynamicInstrumenter::create(bin);
-        let parse_d = dy.diagnostics();
+        let (mut fleet, pid) = one_process(bin, SessionOptions::new());
+        let parse_d = fleet.process_diagnostics(pid).unwrap();
         assert!(parse_d.functions_parsed >= 3); // _start, main, matmul, …
         assert!(parse_d.blocks_parsed > parse_d.functions_parsed);
         assert!(parse_d.instructions_decoded as usize > parse_d.blocks_parsed);
         assert_eq!(parse_d.points_instrumented, 0);
         assert_eq!(parse_d.instret, 0);
 
-        let c = dy.alloc_var(8);
-        let pts = dy.find_points("matmul", PointKind::BlockEntry).unwrap();
-        dy.insert(&pts, Snippet::increment(c));
-        dy.commit().unwrap();
-        let patch_d = dy.diagnostics();
+        let c = fleet.alloc_var(8);
+        let pts = fleet.find_points("matmul", PointKind::BlockEntry).unwrap();
+        fleet.insert(&pts, Snippet::increment(c));
+        fleet.commit_all().unwrap();
+        let patch_d = fleet.process_diagnostics(pid).unwrap();
         assert_eq!(patch_d.points_instrumented, pts.len());
         assert!(
             patch_d.dead_register_points > 0,
@@ -375,8 +377,8 @@ mod typed_errors {
         assert_eq!(patch_d.springboards.total(), 1); // one relocated function
         assert_eq!(patch_d.springboards.trap, 0, "no trap springboards needed");
 
-        assert_eq!(dy.run_to_exit().unwrap(), 0);
-        let run_d = dy.diagnostics();
+        assert!(matches!(run_to_exit(&mut fleet, pid), Ok(0)));
+        let run_d = fleet.process_diagnostics(pid).unwrap();
         assert!(run_d.instret > 0);
         assert!(run_d.cycles >= run_d.instret);
         // The printable summary mentions every stage.

@@ -11,9 +11,12 @@
 //! a `.rodata` jump table, so a 4-byte entry springboard clobbers two
 //! addresses and *both* stay reachable.
 
+mod common;
+
+use common::{one_process, run_to_exit};
 use rvdyn::{
-    audit_redirect_coverage, clobbered_addresses, BinaryEditor, CodeObject, DynamicInstrumenter,
-    Error, ParseOptions, PointKind, SessionOptions, Snippet, Stage,
+    audit_redirect_coverage, clobbered_addresses, BinaryEditor, CodeObject, Error, ParseOptions,
+    PointKind, SessionOptions, Snippet, Stage,
 };
 use rvdyn_asm::indirect_entry_program;
 use rvdyn_patch::{find_points, Instrumenter};
@@ -173,26 +176,28 @@ fn dynamic_commit_covers_clobbers_and_runs_correct() {
     let spin = spin_entry(&co);
     let clobbered = clobbered_addresses(&co.functions[&spin], spin, 4);
 
-    let mut dy = DynamicInstrumenter::create(bin);
-    let counter = dy.alloc_var(8);
-    let pts = dy.find_points("spin", PointKind::FuncEntry).unwrap();
-    dy.insert(&pts, Snippet::increment(counter));
-    dy.commit().unwrap();
+    let (mut fleet, pid) = one_process(bin, SessionOptions::new());
+    let counter = fleet.alloc_var(8);
+    let pts = fleet.find_points("spin", PointKind::FuncEntry).unwrap();
+    fleet.insert(&pts, Snippet::increment(counter));
+    fleet.commit_all().unwrap();
 
     for pc in &clobbered {
         assert!(
-            dy.process().machine().trap_redirects.contains_key(pc),
+            fleet
+                .with_process(pid, |p| p.machine().trap_redirects.contains_key(pc))
+                .unwrap(),
             "runtime redirect table missing clobbered address {pc:#x}"
         );
     }
 
-    assert_eq!(dy.run_to_exit().unwrap(), 0);
-    assert_eq!(dy.read_var(counter), Some(ITERS));
-    let got = dy
-        .process()
-        .read_mem(result_addr, 8)
+    assert!(matches!(run_to_exit(&mut fleet, pid), Ok(0)));
+    assert_eq!(fleet.read_var(pid, counter), Some(ITERS));
+    let got = fleet
+        .with_process(pid, |p| p.read_mem(result_addr, 8))
+        .unwrap()
         .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
         .ok();
     assert_eq!(got, Some(ITERS), "semantics preserved under redirects");
-    assert!(dy.diagnostics().clobbers_audited >= 2);
+    assert!(fleet.process_diagnostics(pid).unwrap().clobbers_audited >= 2);
 }

@@ -1,12 +1,15 @@
 //! Integration coverage for the instrumentation-session API: the shared
-//! `Session` core behind both delivery shells, per-stage wall-clock
-//! timing, the telemetry event stream, and the conservative-mode /
-//! delivery-verification error paths.
+//! `Session` core behind both delivery targets (a file image and a
+//! process set), per-stage wall-clock timing, the telemetry event
+//! stream, and the conservative-mode / delivery-verification error
+//! paths.
 
+mod common;
+
+use common::{one_process, run_to_exit};
 use rvdyn::telemetry::CollectSink;
 use rvdyn::{
-    BinaryEditor, DynamicInstrumenter, Error, PointKind, SessionOptions, Snippet, Stage,
-    TelemetryEvent, TimedStage,
+    BinaryEditor, Error, PointKind, SessionOptions, Snippet, Stage, TelemetryEvent, TimedStage,
 };
 
 // --- shared session core ---------------------------------------------------
@@ -25,12 +28,12 @@ fn static_and_dynamic_paths_report_identical_counters() {
     let sd = ed.diagnostics().clone();
 
     let bin = rvdyn_asm::matmul_program(5, 2);
-    let mut dy = DynamicInstrumenter::create(bin);
-    let c2 = dy.alloc_var(8);
-    let pts = dy.find_points("matmul", PointKind::BlockEntry).unwrap();
-    dy.insert(&pts, Snippet::increment(c2));
-    dy.commit().unwrap();
-    let dd = dy.diagnostics();
+    let (mut fleet, pid) = one_process(bin, SessionOptions::new());
+    let c2 = fleet.alloc_var(8);
+    let pts = fleet.find_points("matmul", PointKind::BlockEntry).unwrap();
+    fleet.insert(&pts, Snippet::increment(c2));
+    fleet.commit_all().unwrap();
+    let dd = fleet.process_diagnostics(pid).unwrap();
 
     assert_eq!(sd.functions_parsed, dd.functions_parsed);
     assert_eq!(sd.blocks_parsed, dd.blocks_parsed);
@@ -40,9 +43,9 @@ fn static_and_dynamic_paths_report_identical_counters() {
     assert_eq!(sd.dead_register_points, dd.dead_register_points);
     assert_eq!(sd.spills, dd.spills);
     assert_eq!(sd.springboards.total(), dd.springboards.total());
-    // Both deliveries report their region structure now: the dynamic
-    // commit counts coalesced write_mem regions, the static rewrite
-    // counts serialised PT_LOAD segments.
+    // Both deliveries report their region structure: the live commit
+    // counts coalesced write_mem regions, the static rewrite counts
+    // serialised PT_LOAD segments.
     assert!(sd.patch_regions_written > 0);
     assert!(dd.patch_regions_written > 0);
 }
@@ -137,28 +140,30 @@ fn static_pipeline_streams_events_to_the_sink() {
 fn dynamic_delivery_streams_proc_and_region_events() {
     let bin = rvdyn_asm::matmul_program(4, 1);
     let sink = CollectSink::new();
-    let mut dy =
-        DynamicInstrumenter::create_with(bin, SessionOptions::new().telemetry(sink.clone()));
-    let c = dy.alloc_var(8);
-    let pts = dy.find_points("matmul", PointKind::BlockEntry).unwrap();
-    dy.insert(&pts, Snippet::increment(c));
-    dy.commit().unwrap();
-    assert_eq!(dy.run_to_exit().unwrap(), 0);
+    let (mut fleet, pid) = one_process(bin, SessionOptions::new().telemetry(sink.clone()));
+    let c = fleet.alloc_var(8);
+    let pts = fleet.find_points("matmul", PointKind::BlockEntry).unwrap();
+    fleet.insert(&pts, Snippet::increment(c));
+    fleet.commit_all().unwrap();
+    assert!(matches!(run_to_exit(&mut fleet, pid), Ok(0)));
 
     // Delivery goes through the observed debug interface…
     assert!(sink.count(|e| matches!(e, TelemetryEvent::MemWritten { .. })) > 0);
     // …as coalesced, verified regions, matching the diagnostics counter.
     assert_eq!(
         sink.count(|e| matches!(e, TelemetryEvent::PatchRegionWritten { .. })),
-        dy.diagnostics().patch_regions_written
+        fleet
+            .process_diagnostics(pid)
+            .unwrap()
+            .patch_regions_written
     );
     assert_eq!(
         sink.count(|e| matches!(e, TelemetryEvent::RunExit { reason: "exited" })),
         1
     );
     // Controller breakpoints stream too.
-    let main = dy.code().functions.values().next().unwrap().entry;
-    let _ = dy.process_mut().set_breakpoint(main);
+    let main = fleet.code().functions.values().next().unwrap().entry;
+    let _ = fleet.with_process(pid, |p| p.set_breakpoint(main));
     assert_eq!(
         sink.count(|e| matches!(e, TelemetryEvent::BreakpointSet { .. })),
         1
@@ -337,25 +342,4 @@ fn diagnostics_json_round_trips_a_real_pipeline() {
     }
     // Timings in the JSON are the live ones, not zeros.
     assert!(!j.contains("\"run\":{\"instret\":0"));
-}
-
-// --- the deprecated surface ------------------------------------------------
-
-#[test]
-#[allow(deprecated)]
-fn constructor_shims_still_serve_old_callers() {
-    // The pre-redesign constructor spread forwards to the collapsed
-    // `from_binary(Binary, SessionOptions)`; same session either way.
-    let bin = rvdyn_asm::fib_program(4);
-    let ed = BinaryEditor::from_binary_with(bin.clone(), &rvdyn::ParseOptions::default());
-    let ed2 = BinaryEditor::from_binary_with_options(bin.clone(), SessionOptions::default());
-    let new = BinaryEditor::from_binary(bin, SessionOptions::default());
-    assert_eq!(
-        ed.diagnostics().functions_parsed,
-        new.diagnostics().functions_parsed
-    );
-    assert_eq!(
-        ed2.diagnostics().blocks_parsed,
-        new.diagnostics().blocks_parsed
-    );
 }

@@ -10,12 +10,10 @@
 
 mod common;
 
-use common::{stmt_program, ProgramStrategy, Stmt};
+use common::{one_process, run_to_exit, stmt_program, ProgramStrategy, Stmt};
 use proptest::prelude::*;
 use rvdyn::tools::{MemTracer, TraceOptions, TraceReader};
-use rvdyn::{
-    BinaryEditor, DynamicInstrumenter, EmuEngine, FleetController, SessionOptions, TraceRecord,
-};
+use rvdyn::{BinaryEditor, EmuEngine, FleetController, SessionOptions, TraceRecord};
 use rvdyn_emu::{load_binary, MemOp, StopReason};
 use rvdyn_symtab::Binary;
 
@@ -51,20 +49,20 @@ fn oracle_records(bin: &Binary, pcs: &[u64]) -> Vec<TraceRecord> {
 }
 
 /// Instrument `bin` with a full-program tracer under `opts`, run it to
-/// exit on the dynamic path, and drain the ring.
+/// exit as one live process, and drain the ring.
 fn traced_run(bin: &Binary, opts: SessionOptions, cap: u64) -> (Vec<u64>, Vec<TraceRecord>, u64) {
-    let mut dy = DynamicInstrumenter::create_with(bin.clone(), opts);
-    let tracer = MemTracer::plan_dynamic(
-        &mut dy,
+    let (mut fleet, pid) = one_process(bin.clone(), opts);
+    let tracer = MemTracer::plan_fleet(
+        &mut fleet,
         &TraceOptions {
             capacity: cap,
             funcs: None,
         },
     )
     .expect("plan");
-    dy.commit().expect("commit");
-    assert_eq!(dy.run_to_exit().expect("run"), 0);
-    let drained = tracer.drain_dynamic(&mut dy).expect("drain");
+    fleet.commit_all().expect("commit");
+    assert!(matches!(run_to_exit(&mut fleet, pid), Ok(0)));
+    let drained = tracer.drain_fleet(&mut fleet, pid).expect("drain");
     (tracer.pcs(), drained.records, drained.dropped)
 }
 
@@ -122,22 +120,21 @@ fn ring_exhaustion_keeps_a_faithful_prefix() {
 #[test]
 fn function_filter_traces_only_named_function() {
     let bin = rvdyn_asm::matmul_program(5, 2);
-    let mut dy = DynamicInstrumenter::create(bin.clone());
+    let (mut fleet, pid) = one_process(bin.clone(), SessionOptions::new());
     let matmul = bin.symbol_by_name("matmul").unwrap().value;
-    let tracer = MemTracer::plan_dynamic(
-        &mut dy,
+    let tracer = MemTracer::plan_fleet(
+        &mut fleet,
         &TraceOptions {
             capacity: 1 << 16,
             funcs: Some(vec!["matmul".into()]),
         },
     )
     .expect("plan");
-    let f = &dy.code().functions[&matmul];
-    let (lo, hi) = f.extent();
+    let (lo, hi) = fleet.code().functions[&matmul].extent();
     assert!(tracer.pcs().iter().all(|pc| *pc >= lo && *pc < hi));
-    dy.commit().expect("commit");
-    assert_eq!(dy.run_to_exit().unwrap(), 0);
-    let drained = tracer.drain_dynamic(&mut dy).expect("drain");
+    fleet.commit_all().expect("commit");
+    assert!(matches!(run_to_exit(&mut fleet, pid), Ok(0)));
+    let drained = tracer.drain_fleet(&mut fleet, pid).expect("drain");
     assert_eq!(drained.records, oracle_records(&bin, &tracer.pcs()));
     assert!(drained.records.iter().all(|r| r.pc >= lo && r.pc < hi));
 }
@@ -145,9 +142,9 @@ fn function_filter_traces_only_named_function() {
 #[test]
 fn unknown_function_filter_fails_loudly() {
     let bin = rvdyn_asm::matmul_program(4, 1);
-    let mut dy = DynamicInstrumenter::create(bin);
-    let err = MemTracer::plan_dynamic(
-        &mut dy,
+    let (mut fleet, _) = one_process(bin, SessionOptions::new());
+    let err = MemTracer::plan_fleet(
+        &mut fleet,
         &TraceOptions {
             capacity: 64,
             funcs: Some(vec!["no_such_fn".into()]),
@@ -181,12 +178,13 @@ fn mid_run_commit_trace_is_engine_invariant() {
         p.set_breakpoint(work).unwrap();
         assert!(matches!(p.cont().unwrap(), rvdyn::Event::Breakpoint(_)));
         p.remove_breakpoint(work).unwrap();
-        let mut dy =
-            DynamicInstrumenter::attach_with(bin.clone(), p, SessionOptions::new().engine(engine));
-        let tracer = MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
-        dy.commit().expect("commit");
-        assert_eq!(dy.run_to_exit().expect("run"), 0);
-        let d = tracer.drain_dynamic(&mut dy).expect("drain");
+        let mut fleet =
+            FleetController::from_binary(bin.clone(), SessionOptions::new().engine(engine));
+        let pid = fleet.attach(p);
+        let tracer = MemTracer::plan_fleet(&mut fleet, &TraceOptions::default()).expect("plan");
+        fleet.commit_all().expect("commit");
+        assert!(matches!(run_to_exit(&mut fleet, pid), Ok(0)));
+        let d = tracer.drain_fleet(&mut fleet, pid).expect("drain");
         (d.records, d.dropped)
     };
     let interp = run(EmuEngine::Interpreter);

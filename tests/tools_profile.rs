@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 use rvdyn::{
-    CodeObject, DynamicInstrumenter, EmuEngine, Event, FleetController, ParseOptions, Process,
-    Profile, ProfileOptions, Profiler, SessionOptions, StackWalker,
+    CodeObject, EmuEngine, Event, FleetController, ParseOptions, Process, Profile, ProfileOptions,
+    Profiler, SessionOptions, StackWalker,
 };
 use rvdyn_stackwalker::{FpStepper, SpHeightStepper};
 use rvdyn_symtab::Binary;
@@ -203,14 +203,16 @@ fn profiler_is_engine_identical() {
     });
     let mut runs: Vec<Profile> = Vec::new();
     for engine in [EmuEngine::Interpreter, EmuEngine::Cached] {
-        let mut dy =
-            DynamicInstrumenter::create_with(bin.clone(), SessionOptions::new().engine(engine));
-        let out = profiler.sample_dynamic(&mut dy).expect("sample");
-        assert_eq!(out.exit_code, 0);
+        let mut fleet =
+            FleetController::from_binary(bin.clone(), SessionOptions::new().engine(engine));
+        let pid = fleet.spawn(1)[0];
+        let out = profiler.sample_fleet(&mut fleet).expect("sample");
+        assert!(matches!(out.outcomes[&pid], Ok(0)));
         assert!(out.profile.samples > 10, "{engine:?}: too few samples");
-        let d = dy.diagnostics();
-        assert_eq!(d.profile_samples, out.profile.samples);
-        assert_eq!(d.profile_max_depth, out.profile.max_depth);
+        for d in [fleet.diagnostics(), fleet.process_diagnostics(pid).unwrap()] {
+            assert_eq!(d.profile_samples, out.profile.samples);
+            assert_eq!(d.profile_max_depth, out.profile.max_depth);
+        }
         runs.push(out.profile);
     }
     assert_eq!(
@@ -225,12 +227,13 @@ fn profiler_is_engine_identical() {
 #[test]
 fn profile_report_shape() {
     let bin = rvdyn_asm::matmul_program(8, 2);
-    let mut dy = DynamicInstrumenter::create(bin);
+    let mut fleet = FleetController::from_binary(bin, SessionOptions::new());
+    fleet.spawn(1);
     let out = Profiler::new(ProfileOptions {
         interval_cycles: 1_000,
         max_samples: 1 << 20,
     })
-    .sample_dynamic(&mut dy)
+    .sample_fleet(&mut fleet)
     .expect("sample");
     let p = &out.profile;
     assert!(p.max_depth >= 3, "matmul under main under _start");
