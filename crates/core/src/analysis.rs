@@ -34,6 +34,7 @@ use crate::error::Error;
 use rvdyn_dataflow::Liveness;
 use rvdyn_parse::worklist::Worklist;
 use rvdyn_parse::{loop_depths, CodeObject, ParseEvent, ParseOptions};
+use rvdyn_symtab::elf::SHT_NOBITS;
 use rvdyn_symtab::Binary;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -43,7 +44,9 @@ use std::sync::{Arc, Mutex};
 // ---------------------------------------------------------------------------
 // SHA-256 (FIPS 180-4), hand-rolled: the workspace carries no external
 // dependencies, and a content-addressed cache needs a real collision-
-// resistant digest, not a 64-bit mixer.
+// resistant digest, not a 64-bit mixer. The block compression runs on
+// the x86 SHA extensions when the CPU has them and on the portable
+// rounds below otherwise; both produce the same digest.
 // ---------------------------------------------------------------------------
 
 const SHA256_K: [u32; 64] = [
@@ -57,24 +60,59 @@ const SHA256_K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-/// Incremental SHA-256, fed by the canonical-content serialiser.
+const SHA256_H0: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
+/// Incremental SHA-256, fed by the canonical-content serialiser. Small
+/// fields collect in the 64-byte block buffer; long inputs are
+/// compressed in place, all full blocks of one `update` in one call.
 struct Sha256 {
     state: [u32; 8],
     buf: [u8; 64],
     buf_len: usize,
     total: u64,
+    /// Compress on the SHA extensions. Only [`Sha256::hardware`] sets
+    /// it, after checking the CPU: the unsafe call in
+    /// [`Sha256::compress`] relies on that.
+    hw: bool,
 }
 
 impl Sha256 {
+    /// The fastest engine this CPU supports.
     fn new() -> Sha256 {
+        Self::hardware().unwrap_or_else(Self::portable)
+    }
+
+    /// The portable engine, on every CPU.
+    fn portable() -> Sha256 {
         Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
+            state: SHA256_H0,
             buf: [0; 64],
             buf_len: 0,
             total: 0,
+            hw: false,
+        }
+    }
+
+    /// The SHA-extension engine, when the CPU has the extensions.
+    fn hardware() -> Option<Sha256> {
+        shani::detected().then(|| Sha256 {
+            hw: true,
+            ..Self::portable()
+        })
+    }
+
+    /// Compress `blocks` (a whole number of 64-byte blocks) into `state`.
+    fn compress(hw: bool, state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        if hw {
+            // SAFETY: `hw` is true only on a hasher built by
+            // `Sha256::hardware`, which checked at run time that the CPU
+            // has every feature `shani::compress_blocks` enables.
+            unsafe { shani::compress_blocks(state, blocks) };
+        } else {
+            compress_portable(state, blocks);
         }
     }
 
@@ -85,26 +123,50 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            Self::compress(self.hw, &mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        let full = data.len() - data.len() % 64;
+        if full > 0 {
+            Self::compress(self.hw, &mut self.state, &data[..full]);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        let tail = &data[full..];
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    fn finish(mut self) -> [u8; 32] {
+        let bit_len = self.total.wrapping_mul(8);
+        // 0x80, zeros up to 56 mod 64, then the 64-bit message length.
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        let zeros_end = if self.buf_len < 56 { 56 } else { 120 } - self.buf_len;
+        pad[zeros_end..zeros_end + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..zeros_end + 8]);
+        debug_assert_eq!(self.buf_len, 0);
+        let mut out = [0u8; 32];
+        for (c, s) in out.chunks_exact_mut(4).zip(self.state) {
+            c.copy_from_slice(&s.to_be_bytes());
+        }
+        out
+    }
+
+    /// Length-prefixed field, so adjacent variable-length fields can
+    /// never alias each other's boundaries.
+    fn field(&mut self, bytes: &[u8]) {
+        self.update(&(bytes.len() as u64).to_le_bytes());
+        self.update(bytes);
+    }
+}
+
+/// The FIPS 180-4 rounds in portable Rust: the engine on CPUs without
+/// SHA extensions, and the reference the hardware engine is tested
+/// against.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, c) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
@@ -117,7 +179,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -138,30 +200,114 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
     }
+}
 
-    fn finish(mut self) -> [u8; 32] {
-        let bit_len = self.total.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
-        let mut out = [0u8; 32];
-        for (c, s) in out.chunks_exact_mut(4).zip(self.state) {
-            c.copy_from_slice(&s.to_be_bytes());
-        }
-        out
+/// SHA-256 block compression on the x86 SHA extensions (SHA-NI): four
+/// rounds per pair of `sha256rnds2`, message schedule by `sha256msg1` /
+/// `sha256msg2`.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::SHA256_K;
+    use std::arch::x86_64::*;
+
+    /// Does this CPU have every feature [`compress_blocks`] enables?
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
     }
 
-    /// Length-prefixed field, so adjacent variable-length fields can
-    /// never alias each other's boundaries.
-    fn field(&mut self, bytes: &[u8]) {
-        self.update(&(bytes.len() as u64).to_le_bytes());
-        self.update(bytes);
+    /// Compress `blocks` (a whole number of 64-byte blocks) into
+    /// `state`, loading and storing the state once for all of them.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `sha`, `ssse3` and `sse4.1` features
+    /// ([`detected`] returned `true`).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        // Byte order: each 32-bit message word is big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d0e0f_08090a0b, 0x04050607_00010203);
+        // SAFETY: `state` is 8 readable `u32`s; `_mm_loadu_si128` has no
+        // alignment requirement.
+        let (abcd, efgh) = unsafe {
+            (
+                _mm_loadu_si128(state.as_ptr().cast()),
+                _mm_loadu_si128(state.as_ptr().add(4).cast()),
+            )
+        };
+        // The round instructions take the state as ABEF / CDGH.
+        let cdab = _mm_shuffle_epi32(abcd, 0xB1);
+        let efgh = _mm_shuffle_epi32(efgh, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // SAFETY: `block` is 64 bytes, so the four 16-byte loads at
+            // offsets 0, 16, 32 and 48 are in bounds; unaligned loads.
+            let [mut w0, mut w1, mut w2, mut w3] = unsafe {
+                let p = block.as_ptr();
+                [
+                    _mm_loadu_si128(p.cast()),
+                    _mm_loadu_si128(p.add(16).cast()),
+                    _mm_loadu_si128(p.add(32).cast()),
+                    _mm_loadu_si128(p.add(48).cast()),
+                ]
+            };
+            w0 = _mm_shuffle_epi8(w0, bswap);
+            w1 = _mm_shuffle_epi8(w1, bswap);
+            w2 = _mm_shuffle_epi8(w2, bswap);
+            w3 = _mm_shuffle_epi8(w3, bswap);
+            // Sixteen groups of four rounds; `w0` holds the message words
+            // of the current group, `w1..w3` the next three. The last four
+            // groups' schedule words go unused.
+            for i in 0..16 {
+                // SAFETY: `SHA256_K` has 64 entries, so entries 4·i..4·i+4
+                // for i < 16 are in bounds; unaligned load.
+                let k = unsafe { _mm_loadu_si128(SHA256_K.as_ptr().add(4 * i).cast()) };
+                let msg = _mm_add_epi32(w0, k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(msg, 0x0E));
+                let w7 = _mm_alignr_epi8(w3, w2, 4);
+                let next =
+                    _mm_sha256msg2_epu32(_mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), w7), w3);
+                (w0, w1, w2, w3) = (w1, w2, w3, next);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let abcd = _mm_blend_epi16(feba, dchg, 0xF0);
+        let efgh = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: `state` is 8 writable `u32`s; `_mm_storeu_si128` has no
+        // alignment requirement.
+        unsafe {
+            _mm_storeu_si128(state.as_mut_ptr().cast(), abcd);
+            _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), efgh);
+        }
+    }
+}
+
+/// Stand-in on CPUs without the x86 SHA extensions: never detected, so
+/// the portable rounds always run.
+#[cfg(not(target_arch = "x86_64"))]
+mod shani {
+    pub(super) fn detected() -> bool {
+        false
+    }
+
+    /// # Safety
+    ///
+    /// Never callable: [`detected`] is always `false`.
+    pub(super) unsafe fn compress_blocks(_state: &mut [u32; 8], _blocks: &[u8]) {
+        unreachable!("no SHA extensions on this architecture")
     }
 }
 
@@ -189,12 +335,18 @@ impl AnalysisKey {
     /// address as `(sh_type, flags, addr, data)`; every symbol ordered
     /// by `(value, size, name)` with its kind and binding.
     ///
+    /// A `SHT_NOBITS` section whose bytes are all zero (a `.bss` as
+    /// [`Binary::parse`] models it) is hashed by its length alone, as
+    /// `(sh_type, flags, addr, 0, len)`; one holding any non-zero byte
+    /// is hashed as `(sh_type, flags, addr, 1, data)`. Either way every
+    /// loaded byte stays covered.
+    ///
     /// Deliberately *not* hashed: section names, section order and
     /// alignment, non-allocatable payload, and file-layout padding —
     /// none of which a loaded mutatee can observe.
     pub fn of(binary: &Binary, parse: &ParseOptions) -> AnalysisKey {
         let mut h = Sha256::new();
-        h.field(b"rvdyn-analysis-key-v1");
+        h.field(b"rvdyn-analysis-key-v2");
         h.update(&binary.entry.to_le_bytes());
         h.update(&binary.e_flags.to_le_bytes());
         h.update(&binary.e_type.to_le_bytes());
@@ -218,7 +370,15 @@ impl AnalysisKey {
             h.update(&s.sh_type.to_le_bytes());
             h.update(&s.flags.to_le_bytes());
             h.update(&s.addr.to_le_bytes());
-            h.field(&s.data);
+            if s.sh_type != SHT_NOBITS {
+                h.field(&s.data);
+            } else if all_zero(&s.data) {
+                h.update(&[0]);
+                h.update(&(s.data.len() as u64).to_le_bytes());
+            } else {
+                h.update(&[1]);
+                h.field(&s.data);
+            }
         }
 
         let mut syms: Vec<&rvdyn_symtab::Symbol> = binary.symbols.iter().collect();
@@ -247,6 +407,17 @@ impl AnalysisKey {
     pub fn prefix(&self) -> u64 {
         u64::from_be_bytes(self.0[..8].try_into().unwrap())
     }
+}
+
+/// Is every byte zero? Tests 64 bytes per step as eight OR-ed words,
+/// so a large `.bss` costs a memory scan, not a byte loop.
+fn all_zero(bytes: &[u8]) -> bool {
+    let mut blocks = bytes.chunks_exact(64);
+    blocks.by_ref().all(|b| {
+        b.chunks_exact(8).fold(0, |acc, w| {
+            acc | u64::from_ne_bytes(w.try_into().expect("8-byte word"))
+        }) == 0
+    }) && blocks.remainder().iter().all(|&b| b == 0)
 }
 
 impl fmt::Debug for AnalysisKey {
@@ -334,6 +505,19 @@ impl Analysis {
         open_ns: u64,
     ) -> Arc<Analysis> {
         let key = AnalysisKey::of(&binary, parse);
+        Self::of_keyed_binary(key, binary, parse, observer, open_ns)
+    }
+
+    /// As [`Analysis::of_binary_observed`] for a caller that already
+    /// holds `key`, which must be `AnalysisKey::of(&binary, parse)`: a
+    /// cache miss hashes the binary once, not twice.
+    pub(crate) fn of_keyed_binary(
+        key: AnalysisKey,
+        binary: Binary,
+        parse: &ParseOptions,
+        observer: &mut dyn FnMut(ParseEvent),
+        open_ns: u64,
+    ) -> Arc<Analysis> {
         let parse_start = std::time::Instant::now();
         let code = CodeObject::parse_with_observer(&binary, parse, observer);
 
@@ -539,7 +723,7 @@ impl AnalysisCache {
                 evicted: 0,
             });
         }
-        let analysis = Analysis::of_binary_observed(binary, parse, observer, 0);
+        let analysis = Analysis::of_keyed_binary(key, binary, parse, observer, 0);
         let evicted = self.insert(analysis.clone());
         Ok(CacheOutcome {
             analysis,
@@ -570,29 +754,38 @@ impl AnalysisCache {
     /// Insert (or refresh) `analysis` under its own key, evicting
     /// least-recently-used entries to stay within capacity. Returns how
     /// many entries were evicted.
+    ///
+    /// Evicted analyses are freed after the lock is released: dropping
+    /// the last reference to a large artifact takes long enough to
+    /// stall every concurrent [`AnalysisCache::get`].
     pub fn insert(&self, analysis: Arc<Analysis>) -> u64 {
         let key = analysis.key();
-        let mut inner = self.inner.lock().expect("analysis cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.entries.insert(
-            key,
-            CacheEntry {
-                analysis,
-                last_used: tick,
-            },
-        );
-        let mut evicted = 0u64;
-        while inner.entries.len() > self.capacity {
-            let lru = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("nonempty over-capacity cache has an LRU entry");
-            inner.entries.remove(&lru);
-            evicted += 1;
-        }
+        // Entries leaving the map; freed when this function returns,
+        // after the guard is gone.
+        let mut released: Vec<CacheEntry> = Vec::new();
+        let evicted = {
+            let mut inner = self.inner.lock().expect("analysis cache poisoned");
+            inner.tick += 1;
+            let tick = inner.tick;
+            released.extend(inner.entries.insert(
+                key,
+                CacheEntry {
+                    analysis,
+                    last_used: tick,
+                },
+            ));
+            let refreshed = released.len();
+            while inner.entries.len() > self.capacity {
+                let lru = inner
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, e)| e.last_used)
+                    .map(|(k, _)| *k)
+                    .expect("nonempty over-capacity cache has an LRU entry");
+                released.extend(inner.entries.remove(&lru));
+            }
+            (released.len() - refreshed) as u64
+        };
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
@@ -643,41 +836,149 @@ impl AnalysisCache {
 mod tests {
     use super::*;
 
-    /// FIPS 180-4 test vectors pin the digest implementation.
+    fn hex(digest: [u8; 32]) -> String {
+        digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `msg` fed to `h` in pieces of the lengths in `cuts`, repeated,
+    /// with an empty update between pieces.
+    fn digest_in_pieces(mut h: Sha256, msg: &[u8], cuts: &[usize]) -> [u8; 32] {
+        let mut rest = msg;
+        for &cut in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (piece, tail) = rest.split_at(cut.clamp(1, rest.len()));
+            h.update(piece);
+            h.update(&[]);
+            rest = tail;
+        }
+        h.finish()
+    }
+
+    /// A named constructor of fresh hashers on one engine.
+    type Engine = (&'static str, fn() -> Sha256);
+
+    /// Both engines this CPU can run: portable always, hardware when
+    /// the SHA extensions are present.
+    fn engines() -> Vec<Engine> {
+        let mut engines: Vec<Engine> = vec![("portable", Sha256::portable)];
+        if Sha256::hardware().is_some() {
+            engines.push(("hardware", || Sha256::hardware().expect("detected above")));
+        } else {
+            eprintln!("note: no x86 SHA extensions on this CPU; hardware engine not tested");
+        }
+        engines
+    }
+
+    /// FIPS 180-4 test vectors pin the digest, through every engine,
+    /// fed whole and in uneven pieces.
     #[test]
     fn sha256_known_vectors() {
-        let hex = |bytes: &[u8]| {
-            let mut h = Sha256::new();
-            h.update(bytes);
-            h.finish()
-                .iter()
-                .map(|b| format!("{b:02x}"))
-                .collect::<String>()
-        };
-        assert_eq!(
-            hex(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        // Multi-block + incremental feeding agree.
-        let mut h = Sha256::new();
-        for chunk in b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq".chunks(7) {
-            h.update(chunk);
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 5] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (engine, new) in engines() {
+            for (msg, want) in vectors {
+                let mut h = new();
+                h.update(msg);
+                assert_eq!(hex(h.finish()), want, "{engine}, whole");
+                let pieces = hex(digest_in_pieces(new(), msg, &[7, 64, 1, 129]));
+                assert_eq!(pieces, want, "{engine}, in pieces");
+            }
         }
-        assert_eq!(
-            h.finish()
-                .iter()
-                .map(|b| format!("{b:02x}"))
-                .collect::<String>(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Random messages in random pieces digest the same on the
+        /// hardware engine as on the portable one, fed whole.
+        #[test]
+        fn engines_agree_on_random_messages(
+            msg in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096),
+            cuts in proptest::collection::vec(1usize..300, 1..16),
+        ) {
+            let mut whole = Sha256::portable();
+            whole.update(&msg);
+            let want = whole.finish();
+            for (engine, new) in engines() {
+                proptest::prop_assert_eq!(
+                    digest_in_pieces(new(), &msg, &cuts),
+                    want,
+                    "{} engine, cuts {:?}",
+                    engine,
+                    &cuts
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_fill_is_keyed_by_length_and_content() {
+        let opts = ParseOptions::default();
+        let with_bss = |data: Vec<u8>, sh_type: u32| {
+            let mut bin = rvdyn_asm::matmul_program(6, 2);
+            bin.sections.push(rvdyn_symtab::Section {
+                sh_type,
+                ..rvdyn_symtab::Section::progbits(
+                    ".extra",
+                    0x7_0000,
+                    rvdyn_symtab::SHF_ALLOC | rvdyn_symtab::SHF_WRITE,
+                    data,
+                )
+            });
+            AnalysisKey::of(&bin, &opts)
+        };
+        let zeros = with_bss(vec![0; 4096], SHT_NOBITS);
+        assert_eq!(zeros, with_bss(vec![0; 4096], SHT_NOBITS), "deterministic");
+        assert_ne!(
+            zeros,
+            with_bss(vec![0; 4097], SHT_NOBITS),
+            "length L vs L+1"
         );
+        let mut dirty = vec![0; 4096];
+        dirty[4095] = 1;
+        assert_ne!(zeros, with_bss(dirty, SHT_NOBITS), "non-zero NOBITS");
+        assert_ne!(
+            zeros,
+            with_bss(vec![0; 4096], rvdyn_symtab::elf::SHT_PROGBITS),
+            "zero PROGBITS"
+        );
+    }
+
+    #[test]
+    fn all_zero_checks_every_byte() {
+        assert!(all_zero(&[]));
+        for len in [1, 63, 64, 65, 200] {
+            assert!(all_zero(&vec![0; len]));
+            for at in [0, len / 2, len - 1] {
+                let mut v = vec![0; len];
+                v[at] = 0x80;
+                assert!(!all_zero(&v), "len {len}, byte {at}");
+            }
+        }
     }
 
     #[test]

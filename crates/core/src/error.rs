@@ -19,6 +19,7 @@ use rvdyn_patch::InstrumentError;
 use rvdyn_proccontrol::ProcError;
 use rvdyn_symtab::SymtabError;
 use std::fmt;
+use std::ops::Range;
 
 /// Pipeline stage an error was raised in (Figure 1's workflow steps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +67,19 @@ pub enum Error {
     /// [`Error::Instrument`]) because it is the soundness contract of the
     /// springboard scheme — see `docs/FAILURE-MODES.md`.
     SpringboardClobber { pc: u64, clobbered: Vec<u64> },
+    /// The layout refused the patch: patch area `area` (`.rvdyn.text`
+    /// or `.rvdyn.data`) would occupy `range`, which overlaps
+    /// `other_range` of `other` — the other patch area, or an
+    /// allocatable section of the mutatee. Written anyway, it would
+    /// corrupt that code or data. Move the areas with
+    /// [`SessionOptions::layout`](crate::SessionOptions::layout); see
+    /// `docs/FAILURE-MODES.md`.
+    PatchAreaOverlap {
+        area: &'static str,
+        range: Range<u64>,
+        other: String,
+        other_range: Range<u64>,
+    },
     /// Conservative refusal: the function at `func` has `count` indirect
     /// transfers whose targets could not be resolved, so relocating it
     /// may orphan live control flow. Opt in with
@@ -129,6 +143,7 @@ impl Error {
             Error::NoSuchFunction { .. } => Stage::Parse,
             Error::Instrument { .. }
             | Error::SpringboardClobber { .. }
+            | Error::PatchAreaOverlap { .. }
             | Error::UnresolvedIndirects { .. }
             | Error::PatchVerifyFailed { .. } => Stage::Instrument,
             Error::Proc { .. }
@@ -182,6 +197,17 @@ impl fmt::Display for Error {
                 }
                 Ok(())
             }
+            Error::PatchAreaOverlap {
+                area,
+                range,
+                other,
+                other_range,
+            } => write!(
+                f,
+                "[instrument] patch area {area} [{:#x}, {:#x}) overlaps \
+                 {other} [{:#x}, {:#x})",
+                range.start, range.end, other_range.start, other_range.end
+            ),
             Error::UnresolvedIndirects { func, count } => write!(
                 f,
                 "[instrument] function {func:#x} has {count} unresolved \
@@ -268,6 +294,17 @@ impl From<InstrumentError> for Error {
             InstrumentError::SpringboardClobber { pc, clobbered } => {
                 Error::SpringboardClobber { pc, clobbered }
             }
+            InstrumentError::PatchAreaOverlap {
+                area,
+                range,
+                other,
+                other_range,
+            } => Error::PatchAreaOverlap {
+                area,
+                range,
+                other,
+                other_range,
+            },
             source => Error::Instrument { source },
         }
     }

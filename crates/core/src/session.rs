@@ -297,7 +297,8 @@ impl Session {
         let mut parse_t = StageTimings::default();
         let timer = tele.begin(TimedStage::Parse);
         let obs_tele = tele.clone();
-        let analysis = Analysis::of_binary_observed(
+        let analysis = Analysis::of_keyed_binary(
+            key,
             binary,
             &opts.parse,
             &mut |ev| obs_tele.emit(adapt_parse(ev)),

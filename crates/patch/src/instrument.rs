@@ -43,6 +43,7 @@ use rvdyn_parse::{CodeObject, EdgeKind, Function};
 use rvdyn_symtab::{Binary, Section, SHF_ALLOC, SHF_EXECINSTR, SHF_WRITE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -106,6 +107,17 @@ pub enum InstrumentError {
     /// address in `clobbered` would execute torn bytes. The audit refuses
     /// to produce an unsound patch.
     SpringboardClobber { pc: u64, clobbered: Vec<u64> },
+    /// The patch area `area` (`.rvdyn.text` or `.rvdyn.data`) would
+    /// occupy `range`, which overlaps `other_range` of `other`: the other
+    /// patch area, or an allocatable section of the mutatee. Writing it
+    /// would overwrite that memory, so the layout is refused; choose a
+    /// [`PatchLayout`] clear of the image.
+    PatchAreaOverlap {
+        area: &'static str,
+        range: Range<u64>,
+        other: String,
+        other_range: Range<u64>,
+    },
 }
 
 impl fmt::Display for InstrumentError {
@@ -131,6 +143,16 @@ impl fmt::Display for InstrumentError {
                 }
                 Ok(())
             }
+            InstrumentError::PatchAreaOverlap {
+                area,
+                range,
+                other,
+                other_range,
+            } => write!(
+                f,
+                "patch area {area} [{:#x}, {:#x}) overlaps {other} [{:#x}, {:#x})",
+                range.start, range.end, other_range.start, other_range.end
+            ),
         }
     }
 }
@@ -147,6 +169,37 @@ impl From<crate::relocate::RelocateError> for InstrumentError {
     fn from(e: crate::relocate::RelocateError) -> Self {
         InstrumentError::Relocate(e)
     }
+}
+
+/// Refuse patch areas that collide: the patch `text` running into the
+/// patch `data`, or either one overlapping an allocatable section of the
+/// mutatee. An empty range overlaps nothing.
+fn check_patch_areas(
+    sections: &[Section],
+    text: Range<u64>,
+    data: Range<u64>,
+) -> Result<(), InstrumentError> {
+    let overlaps = |a: &Range<u64>, b: &Range<u64>| a.start < b.end && b.start < a.end;
+    let refuse = |area, range: &Range<u64>, other: &str, other_range| {
+        Err(InstrumentError::PatchAreaOverlap {
+            area,
+            range: range.clone(),
+            other: other.to_string(),
+            other_range,
+        })
+    };
+    if overlaps(&text, &data) {
+        return refuse(".rvdyn.text", &text, ".rvdyn.data", data);
+    }
+    for (area, range) in [(".rvdyn.text", &text), (".rvdyn.data", &data)] {
+        for s in sections.iter().filter(|s| s.flags & SHF_ALLOC != 0) {
+            let section = s.addr..s.addr.saturating_add(s.data.len() as u64);
+            if overlaps(range, &section) {
+                return refuse(area, range, &s.name, section);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The original instruction addresses a `len`-byte write at `base` tears:
@@ -772,6 +825,16 @@ impl<'b> Instrumenter<'b> {
         }
 
         // New sections.
+        let data_size = self.var_cursor.max(8);
+        let PatchLayout {
+            patch_text,
+            patch_data,
+        } = self.layout;
+        check_patch_areas(
+            &out.sections,
+            patch_text..patch_text.saturating_add(patch_code.len() as u64),
+            patch_data..patch_data.saturating_add(data_size),
+        )?;
         if !patch_code.is_empty() {
             writes.push((self.layout.patch_text, patch_code.clone()));
             out.sections.push(Section::progbits(
@@ -781,7 +844,6 @@ impl<'b> Instrumenter<'b> {
                 patch_code,
             ));
         }
-        let data_size = self.var_cursor.max(8);
         out.sections.push(Section::progbits(
             ".rvdyn.data",
             self.layout.patch_data,

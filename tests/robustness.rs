@@ -305,6 +305,69 @@ mod typed_errors {
         }
     }
 
+    /// The rewrite's error when the default layout cannot hold the patch.
+    fn overlap_error(mut ed: BinaryEditor) -> Error {
+        match ed.rewrite() {
+            Err(e) => e,
+            Ok(_) => panic!("expected the default layout to be refused"),
+        }
+    }
+
+    #[test]
+    fn patch_text_running_into_patch_data_is_a_typed_error() {
+        // Tracing every access of 768 small functions relocates more than
+        // the 256 KB between the default patch text (0x80000) and patch
+        // data (0xC0000). Written anyway, the data area would overwrite
+        // relocated code and the run would die on an illegal instruction.
+        let bin = rvdyn_asm::many_functions_program(768);
+        let mut ed = BinaryEditor::from_binary(bin, SessionOptions::default());
+        rvdyn::tools::MemTracer::plan_editor(&mut ed, &rvdyn::tools::TraceOptions::default())
+            .expect("plan");
+        let err = overlap_error(ed);
+        assert_eq!(err.stage(), Stage::Instrument);
+        match err {
+            Error::PatchAreaOverlap {
+                area,
+                range,
+                other,
+                other_range,
+            } => {
+                assert_eq!((area, other.as_str()), (".rvdyn.text", ".rvdyn.data"));
+                assert_eq!(range.start, 0x8_0000);
+                assert!(range.end > 0xC_0000, "text ends at {:#x}", range.end);
+                assert_eq!(other_range.start, 0xC_0000);
+            }
+            other => panic!("expected PatchAreaOverlap, got {other}"),
+        }
+    }
+
+    #[test]
+    fn patch_area_over_a_mutatee_section_is_a_typed_error() {
+        // matmul(120)'s arrays fill .bss from 0x30000 past 0x80000, the
+        // default patch text.
+        let bin = rvdyn_asm::matmul_program(120, 1);
+        let mut ed = BinaryEditor::from_binary(bin, SessionOptions::default());
+        let c = ed.alloc_var(8);
+        let pts = ed.find_points("matmul", PointKind::FuncEntry).unwrap();
+        ed.insert(&pts, Snippet::increment(c));
+        let err = overlap_error(ed);
+        let message = err.to_string();
+        match err {
+            Error::PatchAreaOverlap {
+                area,
+                range,
+                other,
+                other_range,
+            } => {
+                assert_eq!((area, other.as_str()), (".rvdyn.text", ".bss"));
+                assert_eq!(range.start, 0x8_0000);
+                assert!(other_range.start < range.start && other_range.end > range.start);
+                assert!(message.contains("[0x80000,"), "{message}");
+            }
+            other => panic!("expected PatchAreaOverlap, got {other}"),
+        }
+    }
+
     #[test]
     fn snippet_needing_too_many_registers_is_a_typed_codegen_error() {
         // A balanced 2^14-leaf expression tree needs 15 simultaneous
