@@ -32,7 +32,7 @@
 
 use crate::error::Error;
 use rvdyn_dataflow::Liveness;
-use rvdyn_parse::worklist::Worklist;
+use rvdyn_parse::worklist::fan_out;
 use rvdyn_parse::{loop_depths, CodeObject, ParseEvent, ParseOptions};
 use rvdyn_symtab::elf::SHT_NOBITS;
 use rvdyn_symtab::Binary;
@@ -522,49 +522,24 @@ impl Analysis {
         let code = CodeObject::parse_with_observer(&binary, parse, observer);
 
         // Loop depths + liveness per function. Independent across
-        // functions, so fan out over the same batch worklist the
-        // parallel parser and the instrumenter's plan phase use; the
-        // results land in BTreeMaps keyed by entry, so the artifact is
-        // identical for every worker count.
-        let entries: Vec<u64> = code.functions.keys().copied().collect();
-        let nworkers = parse.threads.max(1).min(entries.len().max(1));
+        // functions, so fan out like the parser and the instrumenter's
+        // plan phase; the results land in BTreeMaps keyed by entry, so
+        // the artifact is identical for every worker count.
+        let nworkers = parse.threads.max(1).min(code.functions.len().max(1));
+        let per_fn = fan_out(code.functions.keys().copied(), nworkers, |batch, _| {
+            batch
+                .iter()
+                .map(|fe| {
+                    let f = &code.functions[fe];
+                    (loop_depths(f), Liveness::analyze(f))
+                })
+                .collect()
+        });
         let mut loop_depths_map = BTreeMap::new();
         let mut liveness_map = BTreeMap::new();
-        if nworkers <= 1 {
-            for &fe in &entries {
-                let f = &code.functions[&fe];
-                loop_depths_map.insert(fe, loop_depths(f));
-                liveness_map.insert(fe, Liveness::analyze(f));
-            }
-        } else {
-            type PerFn = (u64, BTreeMap<u64, usize>, Liveness);
-            let wl = Worklist::new(entries.iter().copied(), nworkers);
-            let results: Mutex<Vec<PerFn>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..nworkers {
-                    scope.spawn(|| {
-                        let mut local: Vec<PerFn> = Vec::new();
-                        loop {
-                            let batch = wl.next_batch();
-                            if batch.is_empty() {
-                                break;
-                            }
-                            for &fe in &batch {
-                                let f = &code.functions[&fe];
-                                local.push((fe, loop_depths(f), Liveness::analyze(f)));
-                            }
-                            wl.complete(batch.len(), std::iter::empty());
-                        }
-                        if !local.is_empty() {
-                            results.lock().unwrap().extend(local);
-                        }
-                    });
-                }
-            });
-            for (fe, d, lv) in results.into_inner().unwrap() {
-                loop_depths_map.insert(fe, d);
-                liveness_map.insert(fe, lv);
-            }
+        for (fe, (d, lv)) in per_fn {
+            loop_depths_map.insert(fe, d);
+            liveness_map.insert(fe, lv);
         }
         let parse_ns = (parse_start.elapsed().as_nanos() as u64).max(1);
 
@@ -1046,18 +1021,36 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_analysis_agree() {
+        fn agree(bin: Binary, parse_gaps: bool) {
+            let opts = |threads| ParseOptions {
+                threads,
+                parse_gaps,
+                ..ParseOptions::default()
+            };
+            let seq = Analysis::of_binary(bin.clone(), &opts(1));
+            let par = Analysis::of_binary(bin, &opts(4));
+            assert_eq!(seq.key(), par.key());
+            assert_eq!(seq.loop_depths, par.loop_depths);
+            assert_eq!(
+                seq.code().functions.keys().collect::<Vec<_>>(),
+                par.code().functions.keys().collect::<Vec<_>>()
+            );
+            assert_eq!(
+                seq.liveness_table().keys().collect::<Vec<_>>(),
+                par.liveness_table().keys().collect::<Vec<_>>()
+            );
+            for (fe, f) in &seq.code().functions {
+                let (s, p) = (&seq.liveness[fe], &par.liveness[fe]);
+                for &b in f.blocks.keys() {
+                    assert_eq!(s.live_in(b), p.live_in(b), "live_in {fe:#x}/{b:#x}");
+                    assert_eq!(s.live_out(b), p.live_out(b), "live_out {fe:#x}/{b:#x}");
+                }
+            }
+        }
         let bin = rvdyn_asm::many_functions_program(23);
-        let seq = Analysis::of_binary(bin.clone(), &ParseOptions::default());
-        let par_opts = ParseOptions {
-            threads: 4,
-            ..ParseOptions::default()
-        };
-        let par = Analysis::of_binary(bin, &par_opts);
-        assert_eq!(seq.key(), par.key());
-        assert_eq!(seq.loop_depths, par.loop_depths);
-        assert_eq!(
-            seq.code().functions.keys().collect::<Vec<_>>(),
-            par.code().functions.keys().collect::<Vec<_>>()
-        );
+        let mut stripped = bin.clone();
+        stripped.strip();
+        agree(bin, false);
+        agree(stripped, true);
     }
 }

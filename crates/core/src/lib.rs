@@ -104,9 +104,7 @@ pub use analysis::{
     Analysis, AnalysisCache, AnalysisKey, AnalysisTimings, CacheOutcome, CacheStats,
 };
 pub use diag::Diagnostics;
-pub use editor::{
-    run_binary, run_binary_observed, run_elf, run_elf_with, BinaryEditor, EditorError, RunOutput,
-};
+pub use editor::{run_binary, run_binary_observed, run_elf, run_elf_with, BinaryEditor, RunOutput};
 pub use error::{Error, Stage};
 pub use fleet::{FleetController, FleetSummary, ProcessReport};
 pub use session::{BlockCounter, Session, SessionOptions};

@@ -20,10 +20,11 @@
 //!   from known entry points and follows control flow; unreached
 //!   executable gaps are then scanned for function prologues and parsed
 //!   speculatively — the stripped-binary path.
-//! * **Parallel parsing** ([`parallel`]): independent functions are parsed
-//!   concurrently over a shared batch [`worklist`], the "fast parallel
-//!   algorithm" §2 credits for gigabyte-scale binaries. The same worklist
-//!   drives the instrumenter's parallel plan phase in `rvdyn-patch`.
+//! * **Parallel parsing** ([`parser`]): independent functions are parsed
+//!   concurrently through [`worklist::fan_out`], the "fast parallel
+//!   algorithm" §2 credits for gigabyte-scale binaries. The same fan-out
+//!   drives loops plus liveness in `rvdyn` and the instrumenter's
+//!   parallel plan phase in `rvdyn-patch`.
 
 pub mod block;
 pub mod classify;
@@ -31,7 +32,6 @@ pub mod function;
 pub mod gaps;
 pub mod jumptable;
 pub mod loops;
-pub mod parallel;
 pub mod parser;
 pub mod source;
 pub mod worklist;

@@ -4,9 +4,11 @@ use crate::block::{BasicBlock, Edge, EdgeKind};
 use crate::classify::{classify_branch, BranchPurpose};
 use crate::function::Function;
 use crate::source::CodeSource;
+use crate::worklist::fan_out;
 use rvdyn_isa::decode::decode;
 use rvdyn_isa::{ControlFlow, Instruction};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::RwLock;
 
 /// Parser configuration.
 #[derive(Debug, Clone)]
@@ -71,7 +73,7 @@ impl CodeObject {
         }
 
         let mut co = if opts.threads > 1 {
-            crate::parallel::parse_parallel(src, entries.clone(), opts)
+            Self::parse_parallel(src, entries.clone(), opts)
         } else {
             Self::parse_sequential(src, entries.clone(), opts)
         };
@@ -161,6 +163,53 @@ impl CodeObject {
             co.functions.insert(entry, f);
         }
         co
+    }
+
+    /// Parallel function parsing (§2: "a fast parallel algorithm … has
+    /// allowed Dyninst to efficiently parse binaries that have more than
+    /// a gigabyte of machine code"). Functions are independent parse
+    /// units fanned out over `opts.threads` workers; each batch parses
+    /// against a snapshot of the known-entry set and pushes its newly
+    /// discovered callees, and the shared set lets tail-call
+    /// classification see other workers' discoveries.
+    fn parse_parallel<S: CodeSource + ?Sized>(
+        src: &S,
+        seed: BTreeSet<u64>,
+        opts: &ParseOptions,
+    ) -> CodeObject {
+        let known = RwLock::new(seed.clone());
+        let parsed = fan_out(seed, opts.threads, |batch, discovered| {
+            let snapshot = known
+                .read()
+                .expect("no panic while holding the known set")
+                .clone();
+            let mut new_callees = BTreeSet::new();
+            let functions = batch
+                .iter()
+                .map(|&entry| {
+                    src.is_code(entry).then(|| {
+                        let (f, callees) = parse_function(src, entry, &snapshot, opts);
+                        new_callees.extend(callees);
+                        f
+                    })
+                })
+                .collect();
+            if !new_callees.is_empty() {
+                known
+                    .write()
+                    .expect("no panic while holding the known set")
+                    .extend(&new_callees);
+            }
+            discovered.extend(new_callees);
+            functions
+        });
+        CodeObject {
+            functions: parsed
+                .into_iter()
+                .filter_map(|(entry, f)| Some((entry, f?)))
+                .collect(),
+            gap_functions: Vec::new(),
+        }
     }
 
     /// The function containing `addr` (by extent).
@@ -486,5 +535,73 @@ mod tests {
         let f = &co.functions[&0x1000];
         assert!(f.has_unresolved);
         assert_eq!(f.blocks[&0x1000].insts.len(), 1);
+    }
+
+    /// A chain of `n` functions, each calling the next.
+    fn chain(n: usize) -> (RawCode, Vec<u64>) {
+        let mut a = Assembler::new(0x1000);
+        let labels: Vec<_> = (0..n).map(|_| a.label()).collect();
+        let mut entries = Vec::new();
+        for i in 0..n {
+            a.bind(labels[i]);
+            entries.push(a.here());
+            a.addi(Reg::X2, Reg::X2, -16);
+            a.sd(Reg::X1, Reg::X2, 8);
+            if i + 1 < n {
+                a.call(labels[i + 1]);
+            }
+            a.ld(Reg::X1, Reg::X2, 8);
+            a.addi(Reg::X2, Reg::X2, 16);
+            a.ret();
+        }
+        (
+            RawCode {
+                base: 0x1000,
+                bytes: a.finish().unwrap(),
+                entries: vec![0x1000],
+            },
+            entries,
+        )
+    }
+
+    #[test]
+    fn parallel_matches_sequential() {
+        let (src, entries) = chain(40);
+        let seq = CodeObject::parse(&src, &ParseOptions::default());
+        let par = CodeObject::parse(
+            &src,
+            &ParseOptions {
+                threads: 4,
+                ..Default::default()
+            },
+        );
+        assert_eq!(seq.functions.len(), entries.len());
+        assert_eq!(
+            seq.functions.keys().collect::<Vec<_>>(),
+            par.functions.keys().collect::<Vec<_>>()
+        );
+        for (e, f) in &seq.functions {
+            let pf = &par.functions[e];
+            assert_eq!(f.blocks.len(), pf.blocks.len(), "function {e:#x}");
+            assert_eq!(f.callees, pf.callees);
+            for (s, b) in &f.blocks {
+                let pb = &pf.blocks[s];
+                assert_eq!(b.edges, pb.edges);
+                assert_eq!(b.insts.len(), pb.insts.len());
+            }
+        }
+    }
+
+    #[test]
+    fn single_thread_option_uses_sequential_path() {
+        let (src, _) = chain(3);
+        let co = CodeObject::parse(
+            &src,
+            &ParseOptions {
+                threads: 1,
+                ..Default::default()
+            },
+        );
+        assert_eq!(co.functions.len(), 3);
     }
 }

@@ -38,13 +38,12 @@ use rvdyn_codegen::regalloc::RegAllocMode;
 use rvdyn_codegen::snippet::{Snippet, Var};
 use rvdyn_dataflow::Liveness;
 use rvdyn_isa::{IsaProfile, RegSet};
-use rvdyn_parse::worklist::Worklist;
+use rvdyn_parse::worklist::fan_out;
 use rvdyn_parse::{CodeObject, EdgeKind, Function};
 use rvdyn_symtab::{Binary, Section, SHF_ALLOC, SHF_EXECINSTR, SHF_WRITE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Range;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Observable milestones of one instrumentation pass, for a
@@ -594,57 +593,24 @@ impl<'b> Instrumenter<'b> {
         })
     }
 
-    /// Plan phase: build every function's plan, fanned out over the
-    /// worker pool when `threads > 1`. Errors surface lowest-address
-    /// first regardless of which worker hit one first.
+    /// Plan phase: build every function's plan, fanned out over
+    /// `nworkers`. Errors surface lowest-address first regardless of
+    /// which worker hit one first.
     fn build_plans(
         &self,
         nworkers: usize,
         profile: IsaProfile,
     ) -> Result<BTreeMap<u64, FunctionPlan>, InstrumentError> {
-        if nworkers <= 1 {
-            let mut plans = BTreeMap::new();
-            for (&fe, fi) in &self.insertions {
-                plans.insert(fe, self.build_plan(fe, fi, profile)?);
-            }
-            return Ok(plans);
-        }
-
-        let wl = Worklist::new(self.insertions.keys().copied(), nworkers);
-        let results: Mutex<Vec<(u64, Result<FunctionPlan, InstrumentError>)>> =
-            Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..nworkers {
-                scope.spawn(|| {
-                    let mut local: Vec<(u64, Result<FunctionPlan, InstrumentError>)> = Vec::new();
-                    loop {
-                        let batch = wl.next_batch();
-                        if batch.is_empty() {
-                            break;
-                        }
-                        for &fe in &batch {
-                            let fi = &self.insertions[&fe];
-                            local.push((fe, self.build_plan(fe, fi, profile)));
-                        }
-                        wl.complete(batch.len(), std::iter::empty());
-                    }
-                    if !local.is_empty() {
-                        results.lock().unwrap().extend(local);
-                    }
-                });
-            }
-        });
-
-        // Deterministic error propagation: order worker results by entry
-        // address, then surface the first failure — always the
-        // lowest-addressed one, matching the sequential path.
         let by_addr: BTreeMap<u64, Result<FunctionPlan, InstrumentError>> =
-            results.into_inner().unwrap().into_iter().collect();
-        let mut plans = BTreeMap::new();
-        for (fe, r) in by_addr {
-            plans.insert(fe, r?);
-        }
-        Ok(plans)
+            fan_out(self.insertions.keys().copied(), nworkers, |batch, _| {
+                batch
+                    .iter()
+                    .map(|&fe| self.build_plan(fe, &self.insertions[&fe], profile))
+                    .collect()
+            })
+            .into_iter()
+            .collect();
+        by_addr.into_iter().map(|(fe, r)| Ok((fe, r?))).collect()
     }
 
     /// Generate code, relocate the instrumented functions, plant
