@@ -2,8 +2,9 @@
 //! (block-translating) engine against the reference interpreter on the
 //! §4.1 matmul workload, plus a translation-stress scale point.
 //!
-//! Usage: `cargo run -p rvdyn-bench --release --bin emu -- [--json] [N] [REPS]`
-//! (defaults N=100, REPS=1 — the paper's matrix size).
+//! Usage: `cargo run -p rvdyn-bench --release --bin emu -- [N] [REPS]`
+//! (defaults N=100, REPS=1 — the paper's matrix size). Prints one JSON
+//! line (the `BENCH_emu.json` line).
 //!
 //! The bin *asserts* the bit-identity contract before printing anything:
 //! both engines must retire the same instruction count, model the same
@@ -12,168 +13,81 @@
 //! wall-clock speedup reported — identical answers, delivered faster.
 //! CI gates the matmul speedup at >= 5x (BENCH_emu.json).
 
-use rvdyn_emu::{load_binary, EmuEngine, StopReason};
+use rvdyn_bench::{args, best_of, emit};
+use rvdyn_emu::{load_binary, EmuEngine, Machine, StopReason};
 use rvdyn_symtab::Binary;
-use std::time::Instant;
 
-fn usage() -> ! {
-    eprintln!("usage: emu [--json] [N] [REPS]");
-    eprintln!("  N     matrix size, a positive integer (default 100)");
-    eprintln!("  REPS  matmul calls per run, a positive integer (default 1)");
-    std::process::exit(2);
-}
-
-fn parse_arg(name: &str, arg: Option<&String>, default: usize) -> usize {
-    match arg {
-        None => default,
-        Some(a) => match a.parse() {
-            Ok(v) if v > 0 => v,
-            _ => {
-                eprintln!("emu: invalid {name} {a:?}: expected a positive integer");
-                usage()
-            }
-        },
-    }
-}
-
-/// One engine's best-of-3 wall clock on `bin`, plus everything the
-/// bit-identity assertion compares and the translation-cache counters.
-struct EngineRun {
-    best_ns: u64,
-    icount: u64,
-    cycles: u64,
-    gpr: [u64; 32],
-    fpr: [u64; 32],
-    stdout: Vec<u8>,
-    blocks_translated: u64,
-    chain_links: u64,
-    invalidations: u64,
-}
-
-fn run(bin: &Binary, engine: EmuEngine, fuel: u64) -> EngineRun {
-    let mut best: Option<EngineRun> = None;
-    for _ in 0..3 {
+/// One engine's best-of-3 wall clock on `bin`, and the machine that ran
+/// it: its counters, final registers and stdout are what the
+/// bit-identity assertion compares.
+fn run(bin: &Binary, engine: EmuEngine, fuel: u64) -> (u64, Machine) {
+    let setup = || {
         let mut m = load_binary(bin);
         m.engine = engine;
         m.fuel = Some(fuel);
-        let t0 = Instant::now();
-        let stop = m.run();
-        let ns = t0.elapsed().as_nanos() as u64;
-        assert_eq!(stop, StopReason::Exited(0), "mutatee must exit cleanly");
-        let r = EngineRun {
-            best_ns: ns,
-            icount: m.icount,
-            cycles: m.cycles,
-            gpr: m.gpr,
-            fpr: m.fpr,
-            stdout: m.stdout.clone(),
-            blocks_translated: m.emu_blocks_translated(),
-            chain_links: m.emu_chain_links(),
-            invalidations: m.emu_invalidations(),
-        };
-        match &mut best {
-            Some(b) if b.best_ns <= ns => {}
-            _ => best = Some(r),
-        }
-    }
-    best.unwrap()
+        m
+    };
+    let (ns, m, stop) = best_of(3, setup, |m| m.run());
+    assert_eq!(stop, StopReason::Exited(0), "mutatee must exit cleanly");
+    (ns, m)
 }
 
 /// Run both engines, assert the bit-identity contract, return
-/// (interpreter, cached, speedup).
-fn compare(label: &str, bin: &Binary, fuel: u64) -> (EngineRun, EngineRun, f64) {
-    let i = run(bin, EmuEngine::Interpreter, fuel);
-    let c = run(bin, EmuEngine::Cached, fuel);
+/// (interpreter ns, cached ns, cached machine).
+fn compare(label: &str, bin: &Binary, fuel: u64) -> (u64, u64, Machine) {
+    let (i_ns, i) = run(bin, EmuEngine::Interpreter, fuel);
+    let (c_ns, c) = run(bin, EmuEngine::Cached, fuel);
     assert_eq!(i.icount, c.icount, "{label}: instruction counts diverge");
     assert_eq!(i.cycles, c.cycles, "{label}: modelled cycles diverge");
     assert_eq!(i.gpr, c.gpr, "{label}: final integer registers diverge");
     assert_eq!(i.fpr, c.fpr, "{label}: final float registers diverge");
     assert_eq!(i.stdout, c.stdout, "{label}: stdout diverges");
-    assert!(c.blocks_translated > 0, "{label}: nothing was translated");
-    let speedup = i.best_ns as f64 / c.best_ns.max(1) as f64;
-    (i, c, speedup)
+    assert!(
+        c.emu_blocks_translated() > 0,
+        "{label}: nothing was translated"
+    );
+    (i_ns, c_ns, c)
 }
 
 fn main() {
-    let mut json = false;
-    let args: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| {
-            if a == "--json" {
-                json = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    if args.len() > 2 || args.iter().any(|a| a.starts_with('-')) {
-        usage();
-    }
-    let n = parse_arg("N", args.first(), 100);
-    let reps = parse_arg("REPS", args.get(1), 1);
+    let [n, reps] = args(
+        "emu",
+        [
+            ("N", "matrix size", 100),
+            ("REPS", "matmul calls per run", 1),
+        ],
+    );
 
     eprintln!("matmul {n}x{n}, {reps} call(s) — interpreter vs cached engine…");
     let bin = rvdyn_asm::matmul_program(n, reps);
-    let (mi, mc, m_speedup) = compare("matmul", &bin, 40_000_000_000);
+    let (mi_ns, mc_ns, mc) = compare("matmul", &bin, 40_000_000_000);
 
     // Translation stress: 10k distinct functions — tens of thousands of
     // blocks through the cache, little reuse per block.
     let funcs = 10_000usize;
     eprintln!("many_functions({funcs}) — translation stress…");
     let many = rvdyn_asm::many_functions_program(funcs);
-    let (si, sc, s_speedup) = compare("many_functions", &many, 4_000_000_000);
+    let (si_ns, sc_ns, sc) = compare("many_functions", &many, 4_000_000_000);
 
-    if json {
-        println!(
-            "{{\"config\":\"emu\",\"n\":{n},\"reps\":{reps},\
-             \"icount\":{},\"cycles\":{},\
-             \"interpreter_ns\":{},\"cached_ns\":{},\"speedup\":{:.4},\
-             \"blocks_translated\":{},\"chain_links\":{},\"invalidations\":{},\
-             \"scale\":{{\"functions\":{funcs},\"icount\":{},\
-             \"interpreter_ns\":{},\"cached_ns\":{},\"speedup\":{:.4},\
-             \"blocks_translated\":{}}}}}",
-            mi.icount,
-            mi.cycles,
-            mi.best_ns,
-            mc.best_ns,
-            m_speedup,
-            mc.blocks_translated,
-            mc.chain_links,
-            mc.invalidations,
-            si.icount,
-            si.best_ns,
-            sc.best_ns,
-            s_speedup,
-            sc.blocks_translated,
-        );
-        return;
-    }
-
-    println!("\nExecution-engine comparison — matmul {n}x{n}, {reps} call(s):\n");
-    println!(
-        "  interpreter : {:>10.1} ms  ({} insts, {} modelled cycles)",
-        mi.best_ns as f64 / 1e6,
-        mi.icount,
-        mi.cycles
-    );
-    println!(
-        "  cached      : {:>10.1} ms  ({} blocks translated, {} chain links)",
-        mc.best_ns as f64 / 1e6,
-        mc.blocks_translated,
-        mc.chain_links
-    );
-    println!("  speedup     : {m_speedup:>10.2}x  (identical counts, cycles, registers, stdout)");
-    println!("\nTranslation stress — many_functions({funcs}):");
-    println!(
-        "  interpreter : {:>10.1} ms  ({} insts)",
-        si.best_ns as f64 / 1e6,
-        si.icount
-    );
-    println!(
-        "  cached      : {:>10.1} ms  ({} blocks translated)",
-        sc.best_ns as f64 / 1e6,
-        sc.blocks_translated
-    );
-    println!("  speedup     : {s_speedup:>10.2}x");
+    emit(|o| {
+        o.field("config", "emu")
+            .field("n", n)
+            .field("reps", reps)
+            .field("icount", mc.icount)
+            .field("cycles", mc.cycles)
+            .field("interpreter_ns", mi_ns)
+            .field("cached_ns", mc_ns)
+            .field("speedup", mi_ns as f64 / mc_ns.max(1) as f64)
+            .field("blocks_translated", mc.emu_blocks_translated())
+            .field("chain_links", mc.emu_chain_links())
+            .field("invalidations", mc.emu_invalidations());
+        o.object("scale", |s| {
+            s.field("functions", funcs)
+                .field("icount", sc.icount)
+                .field("interpreter_ns", si_ns)
+                .field("cached_ns", sc_ns)
+                .field("speedup", si_ns as f64 / sc_ns.max(1) as f64)
+                .field("blocks_translated", sc.emu_blocks_translated());
+        });
+    });
 }

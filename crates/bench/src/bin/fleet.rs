@@ -1,7 +1,8 @@
 //! Experiment F1: fleet-scale dynamic instrumentation.
 //!
-//! Usage: `cargo run -p rvdyn-bench --release --bin fleet -- [--json] [PROCESSES]`
-//! (default PROCESSES=100).
+//! Usage: `cargo run -p rvdyn-bench --release --bin fleet -- [PROCESSES]`
+//! (default PROCESSES=100). Prints one JSON line (the `BENCH_fleet.json`
+//! line).
 //!
 //! Instruments and runs PROCESSES copies of the matmul mutatee two
 //! ways, over the *same* binary, snippet, and engine:
@@ -25,26 +26,7 @@
 //! [`FleetController`]: rvdyn::FleetController
 
 use rvdyn::{FleetController, PointKind, SessionOptions, Snippet};
-use std::time::Instant;
-
-fn usage() -> ! {
-    eprintln!("usage: fleet [--json] [PROCESSES]");
-    eprintln!("  PROCESSES  mutatees to instrument and run in each leg (default 100)");
-    std::process::exit(2);
-}
-
-fn parse_arg(name: &str, arg: Option<&String>, default: usize) -> usize {
-    match arg {
-        None => default,
-        Some(a) => match a.parse() {
-            Ok(v) if v > 0 => v,
-            _ => {
-                eprintln!("fleet: invalid {name} {a:?}: expected a positive integer");
-                usage()
-            }
-        },
-    }
-}
+use rvdyn_bench::{args, emit, ncpu, time};
 
 /// One full single-process lifecycle: a one-process fleet, entry
 /// counter, verified commit, run to exit. Returns (exit_code, counter).
@@ -69,34 +51,24 @@ fn run_one(binary: rvdyn::Binary, opts: SessionOptions) -> (i64, u64) {
 }
 
 fn main() {
-    let mut json = false;
-    let args: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| {
-            if a == "--json" {
-                json = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    if args.len() > 1 || args.iter().any(|a| a.starts_with('-')) {
-        usage();
-    }
-    let n = parse_arg("PROCESSES", args.first(), 100);
+    let [n] = args(
+        "fleet",
+        [(
+            "PROCESSES",
+            "mutatees to instrument and run in each leg",
+            100,
+        )],
+    );
 
     let opts = SessionOptions::new();
-    let threads = std::env::var("RVDYN_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1);
-    let engine = rvdyn::EmuEngine::from_env();
-    let ncpu = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let threads = opts.thread_count();
+    let engine = opts.emu_engine();
     let binary = rvdyn_asm::matmul_program(16, 2);
 
-    eprintln!("fleet: {n} mutatees, {threads} worker thread(s), {engine:?} engine — measuring…");
+    eprintln!(
+        "fleet: {n} mutatees, {threads} worker thread(s), {} engine — measuring…",
+        engine.label()
+    );
 
     // Untimed warmup: one lifecycle per leg, to fault in code paths and
     // capture the reference (exit code, counter) both legs must match.
@@ -104,29 +76,30 @@ fn main() {
     assert_eq!(ref_code, 0, "warmup mutatee must exit cleanly");
 
     // Leg 1: N sequential full-pipeline sessions.
-    let t0 = Instant::now();
-    for i in 0..n {
-        let (code, counter) = run_one(binary.clone(), opts.clone());
-        assert_eq!(
-            (code, counter),
-            (ref_code, ref_counter),
-            "sequential run {i} diverged"
-        );
-    }
-    let sequential_ns = t0.elapsed().as_nanos() as u64;
+    let (sequential_ns, ()) = time(|| {
+        for i in 0..n {
+            let (code, counter) = run_one(binary.clone(), opts.clone());
+            assert_eq!(
+                (code, counter),
+                (ref_code, ref_counter),
+                "sequential run {i} diverged"
+            );
+        }
+    });
 
     // Leg 2: one fleet controller over the same N mutatees.
-    let t0 = Instant::now();
-    let mut fleet = FleetController::from_binary(binary, opts);
-    let pids = fleet.spawn(n);
-    let counter = fleet.alloc_var(8);
-    let pts = fleet
-        .find_points("matmul", PointKind::FuncEntry)
-        .expect("points");
-    fleet.insert(&pts, Snippet::increment(counter));
-    fleet.commit_all().expect("fleet commit");
-    fleet.run_all();
-    let fleet_ns = t0.elapsed().as_nanos() as u64;
+    let (fleet_ns, (fleet, pids, counter)) = time(|| {
+        let mut fleet = FleetController::from_binary(binary, opts);
+        let pids = fleet.spawn(n);
+        let counter = fleet.alloc_var(8);
+        let pts = fleet
+            .find_points("matmul", PointKind::FuncEntry)
+            .expect("points");
+        fleet.insert(&pts, Snippet::increment(counter));
+        fleet.commit_all().expect("fleet commit");
+        fleet.run_all();
+        (fleet, pids, counter)
+    });
 
     // Parity: every fleet process must agree with the sequential runs.
     for pid in &pids {
@@ -145,53 +118,21 @@ fn main() {
     assert_eq!(summary.processes_failed, 0, "no fleet process may fail");
     assert_eq!(summary.processes, n);
 
-    let speedup = sequential_ns as f64 / fleet_ns as f64;
     let d = fleet.diagnostics();
     let shared_front_ns = d.timings.open_ns + d.timings.parse_ns + d.timings.instrument_ns;
 
-    if json {
-        println!(
-            "{{\"config\":\"fleet\",\"processes\":{},\"threads\":{},\
-             \"engine\":\"{}\",\"ncpu\":{},\
-             \"sequential_ns\":{},\"fleet_ns\":{},\
-             \"sequential_ns_per_process\":{},\"fleet_ns_per_process\":{},\
-             \"shared_front_half_ns\":{},\"events_dispatched\":{},\
-             \"speedup\":{:.3}}}",
-            n,
-            threads,
-            match engine {
-                rvdyn::EmuEngine::Interpreter => "interpreter",
-                rvdyn::EmuEngine::Cached => "cached",
-            },
-            ncpu,
-            sequential_ns,
-            fleet_ns,
-            sequential_ns / n as u64,
-            fleet_ns / n as u64,
-            shared_front_ns,
-            summary.events_dispatched,
-            speedup
-        );
-        return;
-    }
-
-    println!("\nFleet-scale instrumentation — {n} mutatees ({threads} worker thread(s)):\n");
-    println!("  config       total       per-process");
-    println!(
-        "  sequential   {:>9.1}ms   {:>8.1}µs",
-        sequential_ns as f64 / 1e6,
-        sequential_ns as f64 / n as f64 / 1e3,
-    );
-    println!(
-        "  fleet        {:>9.1}ms   {:>8.1}µs",
-        fleet_ns as f64 / 1e6,
-        fleet_ns as f64 / n as f64 / 1e3,
-    );
-    println!(
-        "\n  fleet speedup: {speedup:.2}x   events dispatched: {}   \
-         shared front half: {:.2}ms (paid once, not {n}×)",
-        summary.events_dispatched,
-        shared_front_ns as f64 / 1e6,
-    );
-    println!("(all {n} fleet processes verified: exit 0, counter identical to sequential)");
+    emit(|o| {
+        o.field("config", "fleet")
+            .field("processes", n)
+            .field("threads", threads)
+            .field("engine", engine.label())
+            .field("ncpu", ncpu())
+            .field("sequential_ns", sequential_ns)
+            .field("fleet_ns", fleet_ns)
+            .field("sequential_ns_per_process", sequential_ns / n as u64)
+            .field("fleet_ns_per_process", fleet_ns / n as u64)
+            .field("shared_front_half_ns", shared_front_ns)
+            .field("events_dispatched", summary.events_dispatched)
+            .field("speedup", sequential_ns as f64 / fleet_ns as f64);
+    });
 }

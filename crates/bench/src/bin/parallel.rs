@@ -1,7 +1,8 @@
 //! Experiment P2: instrument-stage scaling (the parallel plan phase).
 //!
-//! Usage: `cargo run -p rvdyn-bench --release --bin parallel -- [--json] [FUNCS] [ITERS]`
-//! (defaults FUNCS=256, ITERS=7).
+//! Usage: `cargo run -p rvdyn-bench --release --bin parallel -- [FUNCS] [ITERS]`
+//! (defaults FUNCS=256, ITERS=7). Prints one JSON line per worker count
+//! (the `BENCH_parallel.json` lines).
 //!
 //! Instruments every chained function of
 //! `rvdyn_asm::many_functions_program(FUNCS)` with per-block counters at
@@ -13,27 +14,7 @@
 //! reports a speedup.
 
 use rvdyn::{BinaryEditor, PointKind, SessionOptions, Snippet};
-use std::time::Instant;
-
-fn usage() -> ! {
-    eprintln!("usage: parallel [--json] [FUNCS] [ITERS]");
-    eprintln!("  FUNCS  chained functions in the stress mutatee (default 256)");
-    eprintln!("  ITERS  timing repetitions, minimum is reported (default 7)");
-    std::process::exit(2);
-}
-
-fn parse_arg(name: &str, arg: Option<&String>, default: usize) -> usize {
-    match arg {
-        None => default,
-        Some(a) => match a.parse() {
-            Ok(v) if v > 0 => v,
-            _ => {
-                eprintln!("parallel: invalid {name} {a:?}: expected a positive integer");
-                usage()
-            }
-        },
-    }
-}
+use rvdyn_bench::{args, best_of, emit, ncpu};
 
 struct Measured {
     instrument_ns: u64,
@@ -43,9 +24,7 @@ struct Measured {
 }
 
 fn measure(bin: &rvdyn::Binary, funcs: usize, threads: usize, iters: usize) -> Measured {
-    let mut best = u64::MAX;
-    let mut out = None;
-    for _ in 0..iters {
+    let setup = || {
         let mut ed = BinaryEditor::from_binary(bin.clone(), SessionOptions::new().threads(threads));
         let c = ed.alloc_var(8);
         let mut pts = Vec::new();
@@ -56,50 +35,34 @@ fn measure(bin: &rvdyn::Binary, funcs: usize, threads: usize, iters: usize) -> M
             );
         }
         ed.insert(&pts, Snippet::increment(c));
-        let t0 = Instant::now();
-        let result = ed.instrumented().expect("instrumentation succeeds");
-        let ns = t0.elapsed().as_nanos() as u64;
-        if ns < best {
-            best = ns;
-        }
-        let d = ed.diagnostics();
-        out = Some(Measured {
-            instrument_ns: best,
-            plans_built: d.plans_built,
-            workers: d.instrument_workers,
-            writes: result.memory_writes().to_vec(),
-        });
+        ed
+    };
+    let (instrument_ns, ed, result) = best_of(iters, setup, |ed| {
+        ed.instrumented().expect("instrumentation succeeds")
+    });
+    let d = ed.diagnostics();
+    Measured {
+        instrument_ns,
+        plans_built: d.plans_built,
+        workers: d.instrument_workers,
+        writes: result.memory_writes().to_vec(),
     }
-    out.unwrap()
 }
 
 fn main() {
-    let mut json = false;
-    let args: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| {
-            if a == "--json" {
-                json = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    if args.len() > 2 || args.iter().any(|a| a.starts_with('-')) {
-        usage();
-    }
-    let funcs = parse_arg("FUNCS", args.first(), 256);
-    let iters = parse_arg("ITERS", args.get(1), 7);
+    let [funcs, iters] = args(
+        "parallel",
+        [
+            ("FUNCS", "chained functions in the stress mutatee", 256),
+            ("ITERS", "timing repetitions, minimum is reported", 7),
+        ],
+    );
 
     eprintln!("many_functions_program({funcs}), {iters} timing reps — measuring…");
     let bin = rvdyn_asm::many_functions_program(funcs);
 
     // All counts run even on small machines (oversubscribed pools must
     // still be deterministic); the CI speedup gate conditions on `ncpu`.
-    let ncpu = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let counts = [1usize, 2, 4, 8];
 
     let results: Vec<(usize, Measured)> = counts
@@ -116,35 +79,16 @@ fn main() {
     }
 
     let base_ns = results[0].1.instrument_ns;
-    if json {
-        for (t, m) in &results {
-            println!(
-                "{{\"config\":\"parallel_rewrite\",\"funcs\":{},\"threads\":{},\
-                 \"ncpu\":{},\"instrument_ns\":{},\"plans_built\":{},\"workers\":{},\
-                 \"speedup\":{:.3}}}",
-                funcs,
-                t,
-                ncpu,
-                m.instrument_ns,
-                m.plans_built,
-                m.workers,
-                base_ns as f64 / m.instrument_ns as f64
-            );
-        }
-        return;
-    }
-
-    println!("\nInstrument-stage scaling — many_functions_program({funcs}), {ncpu} cpu(s):\n");
-    println!("  threads   instrument    speedup   plans  workers");
     for (t, m) in &results {
-        println!(
-            "  {:>7}   {:>8.3}ms   {:>6.2}x   {:>5}  {:>7}",
-            t,
-            m.instrument_ns as f64 / 1e6,
-            base_ns as f64 / m.instrument_ns as f64,
-            m.plans_built,
-            m.workers
-        );
+        emit(|o| {
+            o.field("config", "parallel_rewrite")
+                .field("funcs", funcs)
+                .field("threads", *t)
+                .field("ncpu", ncpu())
+                .field("instrument_ns", m.instrument_ns)
+                .field("plans_built", m.plans_built)
+                .field("workers", m.workers)
+                .field("speedup", base_ns as f64 / m.instrument_ns as f64);
+        });
     }
-    println!("\n(patch bytes verified bit-identical across all thread counts)");
 }

@@ -1,7 +1,8 @@
 //! Experiment S1: instrumentation-as-a-service request replay.
 //!
-//! Usage: `cargo run -p rvdyn-bench --release --bin service -- [--json] [REQUESTS]`
-//! (default REQUESTS=2000).
+//! Usage: `cargo run -p rvdyn-bench --release --bin service -- [REQUESTS]`
+//! (default REQUESTS=2000). Prints one JSON line (the
+//! `BENCH_service.json` line).
 //!
 //! Replays a stream of instrument requests over a small fleet of
 //! mutatees (matmul, many_functions, indirect-entry, tiny-function),
@@ -23,26 +24,7 @@
 //! either invariant never reports a speedup.
 
 use rvdyn::{AnalysisCache, BinaryEditor, PointKind, SessionOptions, Snippet};
-use std::time::Instant;
-
-fn usage() -> ! {
-    eprintln!("usage: service [--json] [REQUESTS]");
-    eprintln!("  REQUESTS  total instrument requests to replay (default 2000)");
-    std::process::exit(2);
-}
-
-fn parse_arg(name: &str, arg: Option<&String>, default: usize) -> usize {
-    match arg {
-        None => default,
-        Some(a) => match a.parse() {
-            Ok(v) if v > 0 => v,
-            _ => {
-                eprintln!("service: invalid {name} {a:?}: expected a positive integer");
-                usage()
-            }
-        },
-    }
-}
+use rvdyn_bench::{args, emit, time};
 
 /// One mutatee in the service fleet: its ELF image and the function
 /// each request instruments.
@@ -93,8 +75,7 @@ fn serve(mut ed: BinaryEditor, func: &str) -> (Vec<u8>, u64) {
 /// per-target reference instead of retaining all of them — the
 /// harness's memory stays O(targets), not O(requests), and the warm
 /// leg is not timed under the cold leg's allocation residue.
-fn run_cold(targets: &[Target], requests: usize, reference: &[Vec<u8>]) -> u64 {
-    let t0 = Instant::now();
+fn run_cold(targets: &[Target], requests: usize, reference: &[Vec<u8>]) {
     for i in 0..requests {
         let t = &targets[i % targets.len()];
         let ed = BinaryEditor::open(&t.elf).expect("open");
@@ -106,16 +87,9 @@ fn run_cold(targets: &[Target], requests: usize, reference: &[Vec<u8>]) -> u64 {
             t.name
         );
     }
-    t0.elapsed().as_nanos() as u64
 }
 
-fn run_warm(
-    targets: &[Target],
-    requests: usize,
-    reference: &[Vec<u8>],
-    cache: &AnalysisCache,
-) -> u64 {
-    let t0 = Instant::now();
+fn run_warm(targets: &[Target], requests: usize, reference: &[Vec<u8>], cache: &AnalysisCache) {
     for i in 0..requests {
         let t = &targets[i % targets.len()];
         let ed = BinaryEditor::open_cached(&t.elf, SessionOptions::default(), cache)
@@ -136,26 +110,13 @@ fn run_warm(
             t.name
         );
     }
-    t0.elapsed().as_nanos() as u64
 }
 
 fn main() {
-    let mut json = false;
-    let args: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| {
-            if a == "--json" {
-                json = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    if args.len() > 1 || args.iter().any(|a| a.starts_with('-')) {
-        usage();
-    }
-    let requests = parse_arg("REQUESTS", args.first(), 2000);
+    let [requests] = args(
+        "service",
+        [("REQUESTS", "total instrument requests to replay", 2000)],
+    );
 
     let targets = fleet();
     eprintln!(
@@ -171,9 +132,9 @@ fn main() {
         .map(|t| serve(BinaryEditor::open(&t.elf).expect("open"), t.func).0)
         .collect();
 
-    let cold_ns = run_cold(&targets, requests, &reference);
+    let (cold_ns, ()) = time(|| run_cold(&targets, requests, &reference));
     let cache = AnalysisCache::new(targets.len());
-    let warm_ns = run_warm(&targets, requests, &reference, &cache);
+    let (warm_ns, ()) = time(|| run_warm(&targets, requests, &reference, &cache));
 
     // The cache must have missed exactly once per distinct binary and
     // served everything else from residence.
@@ -189,51 +150,25 @@ fn main() {
         "every request must be either a hit or a miss"
     );
 
-    let ratio = cold_ns as f64 / warm_ns as f64;
-    let cold_rps = requests as f64 / (cold_ns as f64 / 1e9);
-    let warm_rps = requests as f64 / (warm_ns as f64 / 1e9);
-
-    if json {
-        println!(
-            "{{\"config\":\"service\",\"requests\":{},\"targets\":{},\
-             \"cold_ns\":{},\"warm_ns\":{},\
-             \"cold_ns_per_request\":{},\"warm_ns_per_request\":{},\
-             \"cold_requests_per_sec\":{:.1},\"warm_requests_per_sec\":{:.1},\
-             \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\
-             \"warm_speedup\":{:.3}}}",
-            requests,
-            targets.len(),
-            cold_ns,
-            warm_ns,
-            cold_ns / requests as u64,
-            warm_ns / requests as u64,
-            cold_rps,
-            warm_rps,
-            stats.hits,
-            stats.misses,
-            stats.evictions,
-            ratio
-        );
-        return;
-    }
-
-    println!("\nInstrumentation service replay — {requests} requests:\n");
-    println!("  config   total       per-request   requests/sec");
-    println!(
-        "  cold     {:>8.1}ms   {:>8.1}µs   {:>10.0}",
-        cold_ns as f64 / 1e6,
-        cold_ns as f64 / requests as f64 / 1e3,
-        cold_rps
-    );
-    println!(
-        "  warm     {:>8.1}ms   {:>8.1}µs   {:>10.0}",
-        warm_ns as f64 / 1e6,
-        warm_ns as f64 / requests as f64 / 1e3,
-        warm_rps
-    );
-    println!(
-        "\n  warm speedup: {ratio:.2}x   cache: {} hits / {} misses / {} evictions",
-        stats.hits, stats.misses, stats.evictions
-    );
-    println!("(warm responses verified bit-identical to cold; hits recorded zero parse time)");
+    emit(|o| {
+        o.field("config", "service")
+            .field("requests", requests)
+            .field("targets", targets.len())
+            .field("cold_ns", cold_ns)
+            .field("warm_ns", warm_ns)
+            .field("cold_ns_per_request", cold_ns / requests as u64)
+            .field("warm_ns_per_request", warm_ns / requests as u64)
+            .field(
+                "cold_requests_per_sec",
+                requests as f64 / (cold_ns as f64 / 1e9),
+            )
+            .field(
+                "warm_requests_per_sec",
+                requests as f64 / (warm_ns as f64 / 1e9),
+            )
+            .field("cache_hits", stats.hits)
+            .field("cache_misses", stats.misses)
+            .field("cache_evictions", stats.evictions)
+            .field("warm_speedup", cold_ns as f64 / warm_ns as f64);
+    });
 }

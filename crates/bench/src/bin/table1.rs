@@ -1,64 +1,39 @@
 //! Regenerate the §4.3 results table (experiment T1).
 //!
-//! Usage: `cargo run -p rvdyn-bench --release --bin table1 -- [--json] [N] [REPS]`
+//! Usage: `cargo run -p rvdyn-bench --release --bin table1 -- [N] [REPS]`
 //! (defaults N=1000, REPS=1 — the paper's matrix size scaled up 10x,
 //! which the cached execution engine can afford: set `RVDYN_EMU=cached`
 //! to run the mutatee on the DBT back end, see docs/EMULATOR.md. Pass
 //! `100` for the paper's original size; malformed arguments are
 //! rejected with a usage message).
 //!
-//! Prints the table in the paper's layout: x86 measured natively on the
-//! host with a modelled pre-optimisation trampoline, RISC-V measured on
-//! the emulator substrate with the P550-flavoured cycle model. Absolute
+//! Renders the table in the paper's layout on stderr: x86 measured
+//! natively on the host with a modelled pre-optimisation trampoline,
+//! RISC-V measured on the emulator substrate with the P550-flavoured
+//! cycle model, plus the A1 dead-register ablation sidebar. Absolute
 //! seconds differ from the paper's testbed by construction; the
 //! comparison targets are the overhead percentages and their ordering
 //! (see EXPERIMENTS.md).
+//!
+//! Stdout carries one JSON line per RISC-V configuration (the
+//! `BENCH_table1.json` lines): its modelled seconds, the x86 column's
+//! seconds where the paper has one, and the full `rvdyn-diagnostics-v1`
+//! object — per-stage wall-clock attribution of the toolkit's own
+//! pipeline. The A1 force-spill run is the `bb_count_force_spill` line.
 
 use rvdyn::RegAllocMode;
 use rvdyn_bench::riscv::{self, Config};
 use rvdyn_bench::x86::{self, Probe};
-use rvdyn_bench::{render_table, Row};
-
-fn usage() -> ! {
-    eprintln!("usage: table1 [--json] [N] [REPS]");
-    eprintln!("  N     matrix size, a positive integer (default 1000)");
-    eprintln!("  REPS  matmul calls per run, a positive integer (default 1)");
-    std::process::exit(2);
-}
-
-/// Parse a positional argument; malformed values are an error, not a
-/// silent fallback to the default.
-fn parse_arg(name: &str, arg: Option<&String>, default: usize) -> usize {
-    match arg {
-        None => default,
-        Some(a) => match a.parse() {
-            Ok(v) if v > 0 => v,
-            _ => {
-                eprintln!("table1: invalid {name} {a:?}: expected a positive integer");
-                usage()
-            }
-        },
-    }
-}
+use rvdyn_bench::{args, emit, render_table, Row};
 
 fn main() {
-    let mut json = false;
-    let args: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| {
-            if a == "--json" {
-                json = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    if args.len() > 2 || args.iter().any(|a| a.starts_with('-')) {
-        usage();
-    }
-    let n = parse_arg("N", args.first(), 1000);
-    let reps = parse_arg("REPS", args.get(1), 1);
+    let [n, reps] = args(
+        "table1",
+        [
+            ("N", "matrix size", 1000),
+            ("REPS", "matmul calls per run", 1),
+        ],
+    );
 
     eprintln!("matmul {n}x{n}, {reps} call(s) — measuring…");
 
@@ -77,26 +52,6 @@ fn main() {
         Config::BasicBlockCountOptimal,
         RegAllocMode::DeadRegisters,
     );
-
-    if json {
-        // Machine-readable mode: one line per RISC-V configuration, each
-        // embedding the full rvdyn-diagnostics-v1 object — per-stage
-        // wall-clock attribution of the toolkit's own pipeline.
-        for (label, m) in [
-            ("base", &rv_base),
-            ("function_count", &rv_fn),
-            ("bb_count", &rv_bb),
-            ("bb_count_optimal", &rv_bb_opt),
-        ] {
-            println!(
-                "{{\"config\":\"{}\",\"mutatee_seconds\":{},\"diagnostics\":{}}}",
-                label,
-                m.mutatee_seconds,
-                m.diag.to_json()
-            );
-        }
-        return;
-    }
 
     // x86 side (native host; spill-modelled trampolines).
     // Scale the native reps up so the timings are measurable.
@@ -137,15 +92,15 @@ fn main() {
         },
     ];
 
-    println!("\nTable 1 (§4.3) reproduction — matmul {n}x{n}, {reps} call(s):\n");
-    print!("{}", render_table(&rows));
-    println!();
-    println!(
+    eprintln!("\nTable 1 (§4.3) reproduction — matmul {n}x{n}, {reps} call(s):\n");
+    eprint!("{}", render_table(&rows));
+    eprintln!();
+    eprintln!(
         "RISC-V dynamic stats: base {} insts; fn-count counter = {}; \
          bb-count counter = {} ({} spills)",
         rv_base.icount, rv_fn.counter, rv_bb.counter, rv_bb.spills
     );
-    println!(
+    eprintln!(
         "counter placement   : optimal placed {} of {} counters \
          ({} elided, {} counts reconstructed); total block count {} \
          (matches every-block: {})",
@@ -156,18 +111,35 @@ fn main() {
         rv_bb_opt.counter,
         rv_bb_opt.counter == rv_bb.counter,
     );
-    println!(
+    eprintln!(
         "paper reference     : x86 1.4% / 66.9%; RISC-V 0.8% / 15.3% \
          (fn / bb overhead)"
     );
 
     // A1 sidebar: the dead-register ablation at the same size.
     let rv_bb_spill = riscv::measure(n, reps, Config::BasicBlockCount, RegAllocMode::ForceSpill);
-    println!(
+    eprintln!(
         "\nA1 ablation (per-block counter): dead-register {:.4}s vs \
          force-spill {:.4}s ({:+.1}% if spilling)",
         rv_bb.mutatee_seconds,
         rv_bb_spill.mutatee_seconds,
         ovh(rv_bb_spill.mutatee_seconds, rv_bb.mutatee_seconds) * 100.0
     );
+
+    for (label, x86_seconds, m) in [
+        ("base", Some(x_base), &rv_base),
+        ("function_count", Some(x_fn), &rv_fn),
+        ("bb_count", Some(x_bb), &rv_bb),
+        ("bb_count_optimal", None, &rv_bb_opt),
+        ("bb_count_force_spill", None, &rv_bb_spill),
+    ] {
+        emit(|o| {
+            o.field("config", label)
+                .field("mutatee_seconds", m.mutatee_seconds);
+            if let Some(x) = x86_seconds {
+                o.field("x86_seconds", x);
+            }
+            o.raw("diagnostics", &m.diag.to_json());
+        });
+    }
 }

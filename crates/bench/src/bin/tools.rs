@@ -1,7 +1,8 @@
 //! Experiment T1: tool overhead — memory tracer and sampling profiler.
 //!
-//! Usage: `cargo run -p rvdyn-bench --release --bin tools -- [--json] [SIZE]`
-//! (default SIZE=16: the matmul mutatee's matrix dimension).
+//! Usage: `cargo run -p rvdyn-bench --release --bin tools -- [SIZE]`
+//! (default SIZE=16: the matmul mutatee's matrix dimension). Prints one
+//! JSON line (the `BENCH_tools.json` line).
 //!
 //! Three measured legs over the same mutatee:
 //!
@@ -26,55 +27,32 @@
 
 use rvdyn::tools::{serialize_trace, MemTracer, TraceOptions, TraceReader};
 use rvdyn::{EmuEngine, FleetController, ProfileOptions, Profiler, SessionOptions};
-use std::time::Instant;
-
-fn usage() -> ! {
-    eprintln!("usage: tools [--json] [SIZE]");
-    eprintln!("  SIZE  matmul matrix dimension (default 16)");
-    std::process::exit(2);
-}
+use rvdyn_bench::{args, emit, time};
 
 fn main() {
-    let mut json = false;
-    let args: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| {
-            if a == "--json" {
-                json = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    if args.len() > 1 || args.iter().any(|a| a.starts_with('-')) {
-        usage();
-    }
-    let size: usize = match args.first() {
-        None => 16,
-        Some(a) => match a.parse() {
-            Ok(v) if v > 0 => v,
-            _ => usage(),
-        },
-    };
+    let [size] = args("tools", [("SIZE", "matmul matrix dimension", 16)]);
     let binary = rvdyn_asm::matmul_program(size, 2);
-    let opts = || SessionOptions::new().engine(EmuEngine::Cached);
+    let opts = SessionOptions::new().engine(EmuEngine::Cached);
+    let engine = opts.emu_engine();
 
-    eprintln!("tools: matmul({size}, 2) mutatee, cached engine — measuring…");
+    eprintln!(
+        "tools: matmul({size}, 2) mutatee, {} engine — measuring…",
+        engine.label()
+    );
 
     // Baseline: the uninstrumented mutatee, warm then timed.
     let baseline_ns = {
         let mut warm = rvdyn_emu::load_binary(&binary);
         assert!(matches!(warm.run(), rvdyn_emu::StopReason::Exited(0)));
         let mut m = rvdyn_emu::load_binary(&binary);
-        m.engine = EmuEngine::Cached;
-        let t0 = Instant::now();
-        assert!(matches!(m.run(), rvdyn_emu::StopReason::Exited(0)));
-        t0.elapsed().as_nanos() as u64
+        m.engine = engine;
+        let (ns, stop) = time(|| m.run());
+        assert!(matches!(stop, rvdyn_emu::StopReason::Exited(0)));
+        ns
     };
 
     // Memtrace leg: full-program tracer, ring sized for the whole run.
-    let mut fleet = FleetController::from_binary(binary.clone(), opts());
+    let mut fleet = FleetController::from_binary(binary.clone(), opts.clone());
     let pid = fleet.spawn(1)[0];
     let tracer = MemTracer::plan_fleet(
         &mut fleet,
@@ -85,9 +63,7 @@ fn main() {
     )
     .expect("plan");
     fleet.commit_all().expect("commit");
-    let t0 = Instant::now();
-    fleet.run_all();
-    let trace_wall_ns = t0.elapsed().as_nanos() as u64;
+    let (trace_wall_ns, ()) = time(|| fleet.run_all());
     assert!(
         matches!(fleet.result(pid), Some(Ok(0))),
         "traced mutatee must exit cleanly: {:?}",
@@ -117,87 +93,56 @@ fn main() {
     }
 
     let records = drained.records.len() as u64;
-    let records_per_s = records as f64 / (trace_wall_ns as f64 / 1e9);
 
     // Serializer round trip: records → rvdyn-trace-v1 bytes → records.
-    let t0 = Instant::now();
-    let bytes = serialize_trace(&drained.records);
-    let serialize_ns = t0.elapsed().as_nanos() as u64;
-    let t0 = Instant::now();
-    let reader = TraceReader::parse(&bytes).expect("validate");
-    let parse_ns = t0.elapsed().as_nanos() as u64;
+    let (serialize_ns, bytes) = time(|| serialize_trace(&drained.records));
+    let (parse_ns, reader) = time(|| TraceReader::parse(&bytes).expect("validate"));
     assert_eq!(reader.len() as u64, records);
 
     // Profiler leg: 10k-cycle sampling over a fresh process.
-    let mut fleet = FleetController::from_binary(binary, opts());
+    let mut fleet = FleetController::from_binary(binary, opts);
     let pid = fleet.spawn(1)[0];
     let profiler = Profiler::new(ProfileOptions {
         interval_cycles: 10_000,
         max_samples: 1 << 20,
     });
-    let t0 = Instant::now();
-    let run = profiler.sample_fleet(&mut fleet).expect("sampled run");
-    let profile_wall_ns = t0.elapsed().as_nanos() as u64;
+    let (profile_wall_ns, run) = time(|| profiler.sample_fleet(&mut fleet).expect("sampled run"));
     assert!(
         matches!(run.outcomes.get(&pid), Some(Ok(0))),
         "sampled mutatee must exit cleanly"
     );
     assert!(run.profile.samples > 0, "interval must fire");
-    let samples_per_s = run.profile.samples as f64 / (profile_wall_ns as f64 / 1e9);
-    let trace_overhead = trace_wall_ns as f64 / baseline_ns as f64;
-    let profile_overhead = profile_wall_ns as f64 / baseline_ns as f64;
 
-    if json {
-        println!(
-            "{{\"config\":\"tools\",\"size\":{},\"engine\":\"cached\",\
-             \"baseline_ns\":{},\
-             \"trace_records\":{},\"trace_dropped\":{},\"trace_wall_ns\":{},\
-             \"trace_records_per_s\":{:.0},\"trace_overhead\":{:.3},\
-             \"trace_bytes\":{},\"trace_bytes_per_record\":{:.2},\
-             \"serialize_ns\":{},\"validate_ns\":{},\
-             \"profile_samples\":{},\"profile_max_depth\":{},\
-             \"profile_wall_ns\":{},\"profile_overhead\":{:.3},\
-             \"samples_per_s\":{:.0}}}",
-            size,
-            baseline_ns,
-            records,
-            drained.dropped,
-            trace_wall_ns,
-            records_per_s,
-            trace_overhead,
-            bytes.len(),
-            bytes.len() as f64 / records.max(1) as f64,
-            serialize_ns,
-            parse_ns,
-            run.profile.samples,
-            run.profile.max_depth,
-            profile_wall_ns,
-            profile_overhead,
-            samples_per_s,
-        );
-        return;
-    }
-    println!("baseline run:      {:.3} ms", baseline_ns as f64 / 1e6);
-    println!(
-        "memtrace:          {} records in {:.3} ms — {:.2}M records/s, {:.2}x baseline",
-        records,
-        trace_wall_ns as f64 / 1e6,
-        records_per_s / 1e6,
-        trace_overhead
-    );
-    println!(
-        "trace stream:      {} bytes ({:.2}/record), serialize {:.3} ms, validate {:.3} ms",
-        bytes.len(),
-        bytes.len() as f64 / records.max(1) as f64,
-        serialize_ns as f64 / 1e6,
-        parse_ns as f64 / 1e6
-    );
-    println!(
-        "profiler:          {} samples (depth ≤ {}) in {:.3} ms — {:.0} samples/s, {:.2}x baseline",
-        run.profile.samples,
-        run.profile.max_depth,
-        profile_wall_ns as f64 / 1e6,
-        samples_per_s,
-        profile_overhead
-    );
+    emit(|o| {
+        o.field("config", "tools")
+            .field("size", size)
+            .field("engine", engine.label())
+            .field("baseline_ns", baseline_ns)
+            .field("trace_records", records)
+            .field("trace_dropped", drained.dropped)
+            .field("trace_wall_ns", trace_wall_ns)
+            .field(
+                "trace_records_per_s",
+                records as f64 / (trace_wall_ns as f64 / 1e9),
+            )
+            .field("trace_overhead", trace_wall_ns as f64 / baseline_ns as f64)
+            .field("trace_bytes", bytes.len())
+            .field(
+                "trace_bytes_per_record",
+                bytes.len() as f64 / records.max(1) as f64,
+            )
+            .field("serialize_ns", serialize_ns)
+            .field("validate_ns", parse_ns)
+            .field("profile_samples", run.profile.samples)
+            .field("profile_max_depth", run.profile.max_depth)
+            .field("profile_wall_ns", profile_wall_ns)
+            .field(
+                "profile_overhead",
+                profile_wall_ns as f64 / baseline_ns as f64,
+            )
+            .field(
+                "samples_per_s",
+                run.profile.samples as f64 / (profile_wall_ns as f64 / 1e9),
+            );
+    });
 }

@@ -21,8 +21,6 @@
 //! vectorisation of the probes), which is exactly the property real
 //! trampolines have.
 
-use std::time::Instant;
-
 /// The counter cell. `write_volatile`/`read_volatile` keep every probe.
 static mut COUNTER: u64 = 0;
 /// The modelled spill slots (the "stack frame" of the trampoline).
@@ -139,17 +137,17 @@ pub fn measure(n: usize, reps: usize, probe: Probe) -> f64 {
             b[i * n + j] = i as f64 - j as f64;
         }
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            matmul(&a, &b, &mut c, n, probe);
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        std::hint::black_box(&c);
-        best = best.min(dt);
-    }
-    best
+    let (ns, (), ()) = crate::best_of(
+        3,
+        || (),
+        |_| {
+            for _ in 0..reps {
+                matmul(&a, &b, &mut c, n, probe);
+            }
+            std::hint::black_box(&c);
+        },
+    );
+    ns as f64 / 1e9
 }
 
 #[cfg(test)]

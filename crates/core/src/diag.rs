@@ -9,6 +9,7 @@
 //! [`StageTimings`] section gives perf work the per-stage attribution the
 //! §4.3 table demands of the tool itself.
 
+use crate::json;
 use crate::telemetry::StageTimings;
 use rvdyn_parse::{CodeObject, EdgeKind};
 use rvdyn_patch::instrument::PatchResult;
@@ -172,79 +173,73 @@ impl Diagnostics {
 
     /// Serialise the full diagnostics — counters and per-stage timings —
     /// as a self-describing JSON object (schema `rvdyn-diagnostics-v1`).
-    /// Every value is a JSON number, so the output needs no escaping and
-    /// is stable across platforms.
+    /// Every value is a JSON number, so the output is stable across
+    /// platforms.
     pub fn to_json(&self) -> String {
         let t = &self.timings;
-        format!(
-            concat!(
-                "{{\"schema\":\"rvdyn-diagnostics-v1\",",
-                "\"parse\":{{\"functions\":{},\"blocks\":{},\"instructions\":{},",
-                "\"unresolved_indirects\":{},\"jump_tables_resolved\":{},",
-                "\"gap_functions\":{}}},",
-                "\"instrument\":{{\"points\":{},\"dead_register_points\":{},",
-                "\"spills\":{},\"patch_regions_written\":{},",
-                "\"clobbers_audited\":{},\"redirects_registered\":{},",
-                "\"counters_placed\":{},\"counters_elided\":{},",
-                "\"instrument_workers\":{},\"plans_built\":{},",
-                "\"springboards\":{{\"compressed_jump\":{},\"jal\":{},",
-                "\"auipc_jalr\":{},\"trap\":{}}}}},",
-                "\"run\":{{\"instret\":{},\"cycles\":{},",
-                "\"counts_reconstructed\":{}}},",
-                "\"faults\":{{\"injected\":{}}},",
-                "\"cache\":{{\"analysis_cache_hits\":{},",
-                "\"analysis_cache_misses\":{},",
-                "\"analysis_cache_evictions\":{}}},",
-                "\"emu\":{{\"blocks_translated\":{},",
-                "\"invalidations\":{},\"chain_links\":{}}},",
-                "\"tools\":{{\"trace_points_planned\":{},",
-                "\"trace_records\":{},\"trace_dropped\":{},",
-                "\"profile_samples\":{},\"profile_max_depth\":{}}},",
-                "\"timings_ns\":{{\"open\":{},\"parse\":{},\"instrument\":{},",
-                "\"relocate\":{},\"commit\":{},\"run\":{}}}}}"
-            ),
-            self.functions_parsed,
-            self.blocks_parsed,
-            self.instructions_decoded,
-            self.unresolved_indirects,
-            self.jump_tables_resolved,
-            self.gap_functions,
-            self.points_instrumented,
-            self.dead_register_points,
-            self.spills,
-            self.patch_regions_written,
-            self.clobbers_audited,
-            self.redirects_registered,
-            self.counters_placed,
-            self.counters_elided,
-            self.instrument_workers,
-            self.plans_built,
-            self.springboards.compressed_jump,
-            self.springboards.jal,
-            self.springboards.auipc_jalr,
-            self.springboards.trap,
-            self.instret,
-            self.cycles,
-            self.counts_reconstructed,
-            self.faults_injected,
-            self.analysis_cache_hits,
-            self.analysis_cache_misses,
-            self.analysis_cache_evictions,
-            self.emu_blocks_translated,
-            self.emu_invalidations,
-            self.emu_chain_links,
-            self.trace_points_planned,
-            self.trace_records,
-            self.trace_dropped,
-            self.profile_samples,
-            self.profile_max_depth,
-            t.open_ns,
-            t.parse_ns,
-            t.instrument_ns,
-            t.relocate_ns,
-            t.commit_ns,
-            t.run_ns,
-        )
+        let sb = &self.springboards;
+        json::object(|o| {
+            o.field("schema", "rvdyn-diagnostics-v1");
+            o.object("parse", |p| {
+                p.field("functions", self.functions_parsed)
+                    .field("blocks", self.blocks_parsed)
+                    .field("instructions", self.instructions_decoded)
+                    .field("unresolved_indirects", self.unresolved_indirects)
+                    .field("jump_tables_resolved", self.jump_tables_resolved)
+                    .field("gap_functions", self.gap_functions);
+            });
+            o.object("instrument", |i| {
+                i.field("points", self.points_instrumented)
+                    .field("dead_register_points", self.dead_register_points)
+                    .field("spills", self.spills)
+                    .field("patch_regions_written", self.patch_regions_written)
+                    .field("clobbers_audited", self.clobbers_audited)
+                    .field("redirects_registered", self.redirects_registered)
+                    .field("counters_placed", self.counters_placed)
+                    .field("counters_elided", self.counters_elided)
+                    .field("instrument_workers", self.instrument_workers)
+                    .field("plans_built", self.plans_built)
+                    .object("springboards", |s| {
+                        s.field("compressed_jump", sb.compressed_jump)
+                            .field("jal", sb.jal)
+                            .field("auipc_jalr", sb.auipc_jalr)
+                            .field("trap", sb.trap);
+                    });
+            });
+            o.object("run", |r| {
+                r.field("instret", self.instret)
+                    .field("cycles", self.cycles)
+                    .field("counts_reconstructed", self.counts_reconstructed);
+            });
+            o.object("faults", |f| {
+                f.field("injected", self.faults_injected);
+            });
+            o.object("cache", |c| {
+                c.field("analysis_cache_hits", self.analysis_cache_hits)
+                    .field("analysis_cache_misses", self.analysis_cache_misses)
+                    .field("analysis_cache_evictions", self.analysis_cache_evictions);
+            });
+            o.object("emu", |e| {
+                e.field("blocks_translated", self.emu_blocks_translated)
+                    .field("invalidations", self.emu_invalidations)
+                    .field("chain_links", self.emu_chain_links);
+            });
+            o.object("tools", |t| {
+                t.field("trace_points_planned", self.trace_points_planned)
+                    .field("trace_records", self.trace_records)
+                    .field("trace_dropped", self.trace_dropped)
+                    .field("profile_samples", self.profile_samples)
+                    .field("profile_max_depth", self.profile_max_depth);
+            });
+            o.object("timings_ns", |n| {
+                n.field("open", t.open_ns)
+                    .field("parse", t.parse_ns)
+                    .field("instrument", t.instrument_ns)
+                    .field("relocate", t.relocate_ns)
+                    .field("commit", t.commit_ns)
+                    .field("run", t.run_ns);
+            });
+        })
     }
 }
 
@@ -349,90 +344,15 @@ impl fmt::Display for Diagnostics {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::json::tests::check_json;
     use crate::telemetry::TimedStage;
+    use rvdyn_patch::springboard::SpringboardStats;
 
-    /// Minimal structural JSON checker: validates object/array nesting,
-    /// string/number tokens, and separators. Enough to guarantee the
-    /// hand-rolled emitter never produces unparseable output.
-    fn check_json(s: &str) -> Result<(), String> {
-        let b = s.as_bytes();
-        let mut i = 0usize;
-        fn skip_ws(b: &[u8], i: &mut usize) {
-            while *i < b.len() && (b[*i] as char).is_whitespace() {
-                *i += 1;
-            }
-        }
-        fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b'{') => {
-                    *i += 1;
-                    skip_ws(b, i);
-                    if b.get(*i) == Some(&b'}') {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        skip_ws(b, i);
-                        if b.get(*i) != Some(&b'"') {
-                            return Err(format!("expected key at {i}"));
-                        }
-                        string(b, i)?;
-                        skip_ws(b, i);
-                        if b.get(*i) != Some(&b':') {
-                            return Err(format!("expected ':' at {i}"));
-                        }
-                        *i += 1;
-                        value(b, i)?;
-                        skip_ws(b, i);
-                        match b.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b'}') => {
-                                *i += 1;
-                                return Ok(());
-                            }
-                            _ => return Err(format!("expected ',' or '}}' at {i}")),
-                        }
-                    }
-                }
-                Some(b'"') => string(b, i),
-                Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                    *i += 1;
-                    while *i < b.len() && (b[*i].is_ascii_digit() || b[*i] == b'.' || b[*i] == b'e')
-                    {
-                        *i += 1;
-                    }
-                    Ok(())
-                }
-                other => Err(format!("unexpected {other:?} at {i}")),
-            }
-        }
-        fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1; // opening quote
-            while *i < b.len() && b[*i] != b'"' {
-                if b[*i] == b'\\' {
-                    *i += 1;
-                }
-                *i += 1;
-            }
-            if *i >= b.len() {
-                return Err("unterminated string".into());
-            }
-            *i += 1;
-            Ok(())
-        }
-        value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing garbage at {i}"));
-        }
-        Ok(())
-    }
-
-    #[test]
-    fn json_is_parseable_and_schema_stable() {
+    /// The populated fixture the schema and golden tests share; every
+    /// counter has a distinct nonzero value except `spills`.
+    pub(crate) fn populated() -> Diagnostics {
         let mut d = Diagnostics {
             functions_parsed: 3,
             blocks_parsed: 17,
@@ -470,7 +390,12 @@ mod tests {
         d.timings.record(TimedStage::Parse, 1_000);
         d.timings.record(TimedStage::Instrument, 2_000);
         d.timings.record(TimedStage::Run, 3_000);
-        let j = d.to_json();
+        d
+    }
+
+    #[test]
+    fn json_is_parseable_and_schema_stable() {
+        let j = populated().to_json();
         check_json(&j).expect("diagnostics JSON must parse");
 
         // Schema stability: every v1 key present, in its section.
@@ -529,6 +454,44 @@ mod tests {
         ] {
             assert!(j.contains(key), "JSON missing {key}: {j}");
         }
+    }
+
+    /// `populated()` plus a distinct count per springboard kind, so a
+    /// reordered key anywhere in the object changes the bytes.
+    pub(crate) fn golden_fixture() -> Diagnostics {
+        let mut d = populated();
+        d.springboards = SpringboardStats {
+            compressed_jump: 1,
+            jal: 2,
+            auipc_jalr: 3,
+            trap: 4,
+        };
+        d
+    }
+
+    /// `golden_fixture().to_json()`, byte for byte: the
+    /// `rvdyn-diagnostics-v1` layout docs/DIAGNOSTICS.md and the CI
+    /// schema-sync pin.
+    pub(crate) const GOLDEN: &str = concat!(
+        r#"{"schema":"rvdyn-diagnostics-v1","#,
+        r#""parse":{"functions":3,"blocks":17,"instructions":411,"#,
+        r#""unresolved_indirects":1,"jump_tables_resolved":2,"gap_functions":1},"#,
+        r#""instrument":{"points":11,"dead_register_points":11,"spills":0,"#,
+        r#""patch_regions_written":4,"clobbers_audited":6,"redirects_registered":5,"#,
+        r#""counters_placed":4,"counters_elided":7,"instrument_workers":4,"plans_built":9,"#,
+        r#""springboards":{"compressed_jump":1,"jal":2,"auipc_jalr":3,"trap":4}},"#,
+        r#""run":{"instret":123456,"cycles":234567,"counts_reconstructed":11},"#,
+        r#""faults":{"injected":2},"#,
+        r#""cache":{"analysis_cache_hits":8,"analysis_cache_misses":2,"analysis_cache_evictions":1},"#,
+        r#""emu":{"blocks_translated":42,"invalidations":3,"chain_links":40},"#,
+        r#""tools":{"trace_points_planned":12,"trace_records":900,"trace_dropped":5,"#,
+        r#""profile_samples":64,"profile_max_depth":9},"#,
+        r#""timings_ns":{"open":0,"parse":1000,"instrument":2000,"relocate":0,"commit":0,"run":3000}}"#,
+    );
+
+    #[test]
+    fn json_golden_bytes() {
+        assert_eq!(golden_fixture().to_json(), GOLDEN);
     }
 
     #[test]

@@ -37,6 +37,7 @@
 
 use crate::diag::Diagnostics;
 use crate::error::Error;
+use crate::json;
 use crate::session::{self, BlockCounter, Session, SessionOptions};
 use crate::telemetry::{TelemetryEvent, TimedStage};
 use rvdyn_codegen::snippet::{Snippet, Var};
@@ -131,31 +132,26 @@ impl FleetSummary {
     /// diagnostics object. Entries are pid-sorted, so the output is
     /// stable across worker counts.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            concat!(
-                "{{\"schema\":\"rvdyn-diagnostics-v1\",",
-                "\"fleet\":{{\"processes\":{},\"events_dispatched\":{},",
-                "\"faults_injected\":{},\"processes_failed\":{}}},",
-                "\"per_process\":["
-            ),
-            self.processes, self.events_dispatched, self.faults_injected, self.processes_failed,
-        );
-        for (i, p) in self.per_process.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"pid\":{},\"exited\":{},\"exit_code\":{},\"failed\":{},\
-                 \"diagnostics\":{}}}",
-                p.pid,
-                u8::from(p.exit_code.is_some()),
-                p.exit_code.unwrap_or(-1),
-                u8::from(p.error.is_some()),
-                p.diag.to_json(),
-            ));
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.field("schema", "rvdyn-diagnostics-v1");
+            o.object("fleet", |f| {
+                f.field("processes", self.processes)
+                    .field("events_dispatched", self.events_dispatched)
+                    .field("faults_injected", self.faults_injected)
+                    .field("processes_failed", self.processes_failed);
+            });
+            o.array("per_process", |a| {
+                for p in &self.per_process {
+                    a.object(|e| {
+                        e.field("pid", p.pid)
+                            .field("exited", u8::from(p.exit_code.is_some()))
+                            .field("exit_code", p.exit_code.unwrap_or(-1))
+                            .field("failed", u8::from(p.error.is_some()))
+                            .raw("diagnostics", &p.diag.to_json());
+                    });
+                }
+            });
+        })
     }
 }
 
@@ -850,6 +846,44 @@ mod tests {
             assert!(j.contains(key), "missing {key} in {j}");
         }
         assert!(!j.contains('\n'), "one line");
+        crate::json::tests::check_json(&j).expect("fleet summary JSON must parse");
+    }
+
+    #[test]
+    fn summary_json_golden_bytes() {
+        use crate::diag::tests::{golden_fixture, GOLDEN};
+        let diag = golden_fixture();
+        let summary = FleetSummary {
+            processes: 2,
+            events_dispatched: 7,
+            faults_injected: 2,
+            processes_failed: 1,
+            per_process: vec![
+                ProcessReport {
+                    pid: 0,
+                    exit_code: Some(0),
+                    error: None,
+                    diag: diag.clone(),
+                },
+                ProcessReport {
+                    pid: 1,
+                    exit_code: None,
+                    error: Some("process 1 lost".into()),
+                    diag,
+                },
+            ],
+        };
+        let expected = [
+            r#"{"schema":"rvdyn-diagnostics-v1","#,
+            r#""fleet":{"processes":2,"events_dispatched":7,"faults_injected":2,"processes_failed":1},"#,
+            r#""per_process":[{"pid":0,"exited":1,"exit_code":0,"failed":0,"diagnostics":"#,
+            GOLDEN,
+            r#"},{"pid":1,"exited":0,"exit_code":-1,"failed":1,"diagnostics":"#,
+            GOLDEN,
+            "}]}",
+        ]
+        .concat();
+        assert_eq!(summary.to_json(), expected);
     }
 
     #[test]

@@ -96,6 +96,7 @@ pub mod diag;
 pub mod editor;
 pub mod error;
 pub mod fleet;
+pub mod json;
 pub mod session;
 pub mod telemetry;
 pub mod tools;

@@ -180,6 +180,18 @@ impl SessionOptions {
         self.placement = placement;
         self
     }
+
+    /// The worker-thread count these options select: `RVDYN_THREADS`
+    /// unless [`SessionOptions::threads`] overrode it.
+    pub fn thread_count(&self) -> usize {
+        self.threads
+    }
+
+    /// The execution engine these options select: `RVDYN_EMU` unless
+    /// [`SessionOptions::engine`] overrode it.
+    pub fn emu_engine(&self) -> EmuEngine {
+        self.engine
+    }
 }
 
 /// The shared pipeline state behind both instrumentation entry points:
